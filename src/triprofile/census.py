@@ -52,13 +52,22 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs.
+        """Build a graph from (u, v) pairs, in any order and orientation.
 
-        Rejects self-loops, out-of-range endpoints and duplicate edges.
+        ``edges`` is an (m, 2) integer array, taken as it is (no per-row
+        copy), or any iterable of pairs (a list of tuples, a generator, the
+        ``zip`` from :meth:`edges`).  Raises ``DomainError`` when the input
+        is not (u, v) pairs, an endpoint lies outside 0..n-1, an edge is a
+        self-loop, or an edge appears twice in either orientation.
+
+        Both orientations' keys ``u*n + v`` are sorted once; equal adjacent
+        keys are duplicates, and the sorted keys are the CSR rows.
         """
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
-        arr = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -66,17 +75,14 @@ class Graph:
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise DomainError("edge endpoint out of range")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            if np.any(lo == hi):
+            u, v = arr[:, 0], arr[:, 1]
+            if np.any(u == v):
                 raise DomainError("self-loops are not allowed")
-            keys = lo * np.int64(n) + hi
-            if np.unique(keys).size != keys.size:
+            keys = np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u])
+            keys.sort()
+            if np.any(keys[1:] == keys[:-1]):
                 raise DomainError("duplicate edges are not allowed")
-            src = np.concatenate([lo, hi])
-            dst = np.concatenate([hi, lo])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
+            src, dst = np.divmod(keys, n)
         else:
             src = dst = np.empty(0, dtype=np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -268,12 +274,19 @@ def _count_triangles(g: Graph) -> int:
     flat = rows.reshape(-1)
     bits = np.uint64(1) << (v & 63).astype(np.uint64)
     np.bitwise_or.at(flat, u * words + (v >> 6), bits)
+    # Row gathers go into two buffers reused across chunks: fresh chunk-sized
+    # temporaries are faulted in anew whenever the allocator has returned
+    # their pages, which made this loop's cost depend on earlier allocations.
+    chunk = min(u.size, max(1, (1 << 22) // words))
+    a_buf = np.empty((chunk, words), dtype=np.uint64)
+    b_buf = np.empty_like(a_buf)
     total = 0
-    chunk = max(1, (1 << 22) // words)
     for s in range(0, u.size, chunk):
-        a = rows[u[s:s + chunk]]
-        b = rows[v[s:s + chunk]]
-        total += int(np.bitwise_count(a & b).sum())
+        k = min(chunk, u.size - s)
+        a, b = a_buf[:k], b_buf[:k]
+        np.take(rows, u[s:s + k], axis=0, out=a, mode="clip")
+        np.take(rows, v[s:s + k], axis=0, out=b, mode="clip")
+        total += int(np.bitwise_count(np.bitwise_and(a, b, out=a)).sum())
     return total
 
 
@@ -355,6 +368,28 @@ def graphon_densities(w: StepGraphon) -> DensityVector:
     return DensityVector(d0=d0, d1=d1, d2=d2, d3=d3, d_e=d_e)
 
 
+def _block_random_graph(blocks: np.ndarray, P: np.ndarray, rng) -> Graph:
+    """Graph on vertices 0..len(blocks)-1, vertex i in block ``blocks[i]``.
+
+    Each unordered pair {i, j} is joined when its uniform from ``rng`` is
+    below ``P[blocks[i], blocks[j]]``; one uniform per pair, drawn in
+    row-major order, so the output is fixed by the generator's state.
+    """
+    n = blocks.size
+    counts = np.zeros(n, dtype=np.int64)
+    vs = []
+    for i in range(n - 1):
+        r = rng.random(n - 1 - i)
+        hit = np.nonzero(r < P[blocks[i], blocks[i + 1:]])[0]
+        counts[i] = hit.size
+        vs.append(hit + (i + 1))
+    edges = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
+    if vs:
+        np.concatenate(vs, out=edges[:, 1])
+    return Graph.from_edges(n, edges)
+
+
 def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     """Sample an n-vertex graph from a step graphon, reproducibly.
 
@@ -369,20 +404,7 @@ def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     cum = np.cumsum(w.sizes)
     blocks = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
                         w.num_blocks - 1)
-    P = w.probs
-    us = []
-    vs = []
-    for i in range(n - 1):
-        r = rng.random(n - 1 - i)
-        hit = np.nonzero(r < P[blocks[i], blocks[i + 1:]])[0]
-        if hit.size:
-            us.append(np.full(hit.size, i, dtype=np.int64))
-            vs.append(hit.astype(np.int64) + i + 1)
-    if us:
-        edges = np.column_stack([np.concatenate(us), np.concatenate(vs)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return Graph.from_edges(n, edges)
+    return _block_random_graph(blocks, w.probs, rng)
 
 
 def read_edge_list(path) -> Graph:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import boundary
-from .census import Graph, StepGraphon, graphon_densities
+from .census import Graph, StepGraphon, _block_random_graph, graphon_densities
 from .errors import DomainError
 
 __all__ = [
@@ -109,22 +109,9 @@ def _sample_block_graph(part_sizes, probs, seed: int) -> Graph:
     parts = [int(p) for p in part_sizes]
     if any(p < 0 for p in parts):
         raise DomainError("part sizes must be nonnegative")
-    n = sum(parts)
     P = np.asarray(probs, dtype=float)
     blocks = np.repeat(np.arange(len(parts)), parts)
-    rng = np.random.default_rng(seed)
-    us, vs = [], []
-    for i in range(n - 1):
-        r = rng.random(n - 1 - i)
-        hit = np.nonzero(r < P[blocks[i], blocks[i + 1:]])[0]
-        if hit.size:
-            us.append(np.full(hit.size, i, dtype=np.int64))
-            vs.append(hit.astype(np.int64) + i + 1)
-    if us:
-        edges = np.column_stack([np.concatenate(us), np.concatenate(vs)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return Graph.from_edges(n, edges)
+    return _block_random_graph(blocks, P, np.random.default_rng(seed))
 
 
 def _range_clique_edges(start: int, size: int) -> np.ndarray:

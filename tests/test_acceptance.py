@@ -17,7 +17,6 @@ import pytest
 
 import triprofile as tp
 from triprofile.cli import main as cli_main
-from triprofile.optimizer import ALPHA_HI
 
 
 def report(name, ok, detail=""):

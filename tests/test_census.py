@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from triprofile import (DomainError, Graph, InputFormatError, StepGraphon,
                         graphon_densities, read_edge_list, read_step_graphon,
                         sample_w_random_graph, write_edge_list,
                         write_step_graphon)
+from triprofile.constructions import FamilySpec, realize
 
 
 def cycle(n):
@@ -38,6 +40,38 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             Graph.from_edges(3, [(0, 3)])
+
+    def test_from_edges_input_forms_agree(self):
+        rng = np.random.default_rng(21)
+        pairs = np.array([(u, v) for u in range(12) for v in range(u + 1, 12)
+                          if rng.random() < 0.4])
+        pairs = pairs[rng.permutation(len(pairs))]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip][:, ::-1]
+        tuples = [(int(u), int(v)) for u, v in pairs]
+        g = Graph.from_edges(12, pairs)
+        assert g == Graph.from_edges(12, tuples)
+        assert g == Graph.from_edges(12, (e for e in tuples))
+        assert g == Graph.from_edges(12, g.edges())
+        assert g.m == len(pairs)
+        adj = {v: set() for v in range(12)}
+        for a, b in tuples:
+            adj[a].add(b)
+            adj[b].add(a)
+        assert [nb.tolist() for nb in g.adjacency] == [sorted(adj[v]) for v in range(12)]
+
+    def test_from_edges_leaves_input_unchanged(self):
+        pairs = np.array([[3, 1], [0, 2]])
+        Graph.from_edges(4, pairs)
+        assert pairs.tolist() == [[3, 1], [0, 2]]
+
+    def test_rejects_reversed_duplicate_array(self):
+        with pytest.raises(DomainError, match="duplicate edges are not allowed"):
+            Graph.from_edges(6, np.array([(2, 5), (0, 1), (5, 2)]))
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(DomainError, match=r"edges must be \(u, v\) pairs"):
+            Graph.from_edges(6, np.array([(0, 1, 2), (3, 4, 5)]))
 
     def test_complement(self):
         g = cycle(5)
@@ -179,6 +213,40 @@ class TestStepGraphon:
             # linear upper bound and quadratic lower bound at the limit
             assert d.d1 <= 3 * d.d3 + 0.375 + 1e-12
             assert d.d3 >= d.d_e * (2 * d.d_e - 1) - 1e-12
+
+
+def csr_sha256(g):
+    return hashlib.sha256(g._indptr.tobytes() + g._nbrs.tobytes()).hexdigest()
+
+
+class TestGoldenCSR:
+    """Seeded graphs keep their exact CSR bytes across refactors.
+
+    The digests were recorded before the single-sort ``from_edges`` and the
+    shared block sampler; any change to the sampler's draw order or to the
+    CSR layout shows up here.
+    """
+
+    W2 = StepGraphon([0.4, 0.6], [[0.7, 0.2], [0.2, 0.5]])
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "f0cd00c7978a6c3affbe4f2e26e3a7d7986dc5870d534ff843e5c4230c81ba02"),
+        (1, "c7795857432759047c6a2be5e863a7bc1ef315637d0dbabb7ecfbbe9479dc100"),
+    ])
+    def test_w_random_graph(self, seed, digest):
+        assert csr_sha256(sample_w_random_graph(self.W2, 300, seed)) == digest
+
+    @pytest.mark.parametrize("x,seed,digest", [
+        (0.03, 5, "c80b3a81d4761a68513ebaa3a30dcb9bfc3d61af26108f4dafcdcb95c8b9c8d9"),
+        (0.08, None, "edf314b40ec7b3230b1f4e79dce802e004805627160735f126f00d6827c425de"),
+    ])
+    def test_realize_g0(self, x, seed, digest):
+        g = realize(FamilySpec("g0", {"x": x}, n=400, seed=seed))
+        assert csr_sha256(g) == digest
+
+    def test_complete(self):
+        assert csr_sha256(Graph.complete(50)) == (
+            "2301b88681b7252b3117d9683aed7b7f92f7b2be967c902d55919573f78537fc")
 
 
 class TestSampling:
