@@ -7,6 +7,7 @@ serialized with 17 significant digits so CSV output round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -50,7 +51,9 @@ def _print_verdicts(out, d, tol: float) -> None:
 
 
 def cmd_census(args) -> int:
-    out = sys.stdout
+    # written to stdout only once every step has succeeded, so a failure
+    # (a bad --tol, say) leaves no partial report
+    out = io.StringIO()
     if args.graphon:
         w = read_step_graphon(args.input)
         d = graphon_densities(w)
@@ -67,6 +70,7 @@ def cmd_census(args) -> int:
     out.write("densities: " + ",".join(_fmt(v) for v in d.profile) + "\n")
     out.write(f"d_e: {_fmt(d.d_e)}\n")
     _print_verdicts(out, d, tol)
+    sys.stdout.write(out.getvalue())
     return 0
 
 
@@ -162,7 +166,10 @@ def cmd_sweep(args) -> int:
         raise DomainError(f"--n-list is not a list of integers: {args.n_list!r}") from None
     if not n_list:
         raise DomainError("--n-list must name at least one size")
-    seeds = [int(tok) for tok in (args.seeds or "0").split(",") if tok != ""]
+    try:
+        seeds = [int(tok) for tok in (args.seeds or "0").split(",") if tok != ""]
+    except ValueError:
+        raise DomainError(f"--seeds is not a list of integers: {args.seeds!r}") from None
     if not seeds:
         raise DomainError("--seeds must name at least one seed")
 

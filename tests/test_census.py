@@ -1,5 +1,7 @@
 import hashlib
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from triprofile import (DomainError, Graph, InputFormatError, StepGraphon,
                         graphon_densities, read_edge_list, read_step_graphon,
                         sample_w_random_graph, write_edge_list,
                         write_step_graphon)
+from triprofile import census
+from triprofile.census import (_forward_edges, _triangles_bitset,
+                               _triangles_wedges)
 from triprofile.constructions import FamilySpec, realize
 
 
@@ -121,6 +126,90 @@ class TestCensus:
             assert sum(c.counts) == math.comb(n, 3)
             assert c.c1 + 2 * c.c2 + 3 * c.c3 == g.m * (n - 2)
             assert census_fast(g.complement()).counts == c.counts[::-1]
+
+
+KERNELS = pytest.mark.parametrize("kernel", [_triangles_bitset, _triangles_wedges])
+
+
+def kernel_triangles(kernel, g):
+    return kernel(g, *_forward_edges(g))
+
+
+class TestTriangleKernels:
+    """Both triangle kernels against the brute-force oracle, called directly,
+    since on small graphs the cost rule may always pick the same one."""
+
+    @KERNELS
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 32), st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([0.08, 0.3, 0.5, 0.8, 0.97]))
+    def test_equals_brute(self, kernel, n, seed, p):
+        g = sample_w_random_graph(StepGraphon([1.0], [[p]]), n, seed)
+        assert kernel_triangles(kernel, g) == census_brute(g).c3
+
+    @KERNELS
+    def test_gnp_equals_brute(self, kernel):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            g = gnp(rng, int(rng.integers(3, 70)), float(rng.random()))
+            assert kernel_triangles(kernel, g) == census_brute(g).c3
+
+    @KERNELS
+    @pytest.mark.parametrize("n,p", [(150, 0.03), (90, 0.7)])
+    def test_sparse_and_dense(self, kernel, n, p):
+        g = gnp(np.random.default_rng(29), n, p)
+        assert kernel_triangles(kernel, g) == census_brute(g).c3
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 50])
+    def test_wedge_chunks(self, monkeypatch, chunk):
+        # chunks smaller than one edge's wedges, and boundaries mid-row
+        monkeypatch.setattr(census, "_WEDGE_CHUNK", chunk)
+        g = gnp(np.random.default_rng(31), 60, 0.4)
+        assert kernel_triangles(_triangles_wedges, g) == census_brute(g).c3
+
+    def test_selection(self, monkeypatch):
+        chosen = []
+        for kernel in (_triangles_bitset, _triangles_wedges):
+            monkeypatch.setattr(census, kernel.__name__,
+                                lambda g, u, v, k=kernel: chosen.append(k) or k(g, u, v))
+        # a long cycle has one wedge; a clique has C(n, 3)
+        assert census_fast(cycle(1000)).c3 == 0
+        assert census_fast(Graph.complete(100)).c3 == math.comb(100, 3)
+        assert chosen == [_triangles_wedges, _triangles_bitset]
+        # a bitset above the memory cap is never built
+        monkeypatch.setattr(census, "_BITSET_MAX_BYTES", 0)
+        assert census_fast(Graph.complete(100)).c3 == math.comb(100, 3)
+        assert chosen[-1] is _triangles_wedges
+
+    def test_choice_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="triprofile.census"):
+            census_fast(cycle(1000))
+        (rec,) = [r for r in caplog.records if r.name == "triprofile.census"]
+        assert rec.levelno == logging.DEBUG
+        assert rec.getMessage() == ("triangle count: n=1000 m=1000 wedges=1 "
+                                    "bitset_words=16000 kernel=wedges")
+
+    def test_sparse_memory_linear_in_m(self):
+        # 10000 disjoint K4s (4 triangles each) plus a circulant on 20000
+        # vertices with odd offsets 1..23, which is bipartite: n=60000,
+        # m=300000, 40000 triangles.  A dense n x n bitset alone is 450 MB.
+        k4 = np.array([(a, b) for a in range(4) for b in range(a + 1, 4)])
+        cliques = (k4 + 4 * np.arange(10000)[:, None, None]).reshape(-1, 2)
+        i = np.arange(20000)
+        circ = np.concatenate([np.column_stack([40000 + i, 40000 + (i + d) % 20000])
+                               for d in range(1, 24, 2)])
+        g = Graph.from_edges(60000, np.concatenate([cliques, circ]))
+        n, m, t = 60000, 300000, 40000
+        p2 = 40000 * math.comb(3, 2) + 20000 * math.comb(24, 2)
+        c1 = m * (n - 2) - 2 * p2 + 3 * t
+        tracemalloc.start()
+        try:
+            c = census_fast(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.counts == (math.comb(n, 3) - c1 - (p2 - 3 * t) - t, c1, p2 - 3 * t, t)
+        assert peak < 64 * 2 ** 20
 
 
 class TestDensities:
@@ -309,6 +398,30 @@ class TestFiles:
         p.write_text("n 3\n0 5\n")
         with pytest.raises(InputFormatError, match="line 2"):
             read_edge_list(p)
+
+    @pytest.mark.parametrize("text,line,message", [
+        # a duplicate before another error is the first offending line
+        ("0 1\n1 0\n3 3\n", 2, "duplicate edge 1 0"),
+        ("0 1\n2 3\n0 1\n4\n", 3, "duplicate edge 0 1"),
+        ("0 1\n1 0\nx y\n", 2, "duplicate edge 1 0"),
+        ("n 5\n0 1\n1 0\n0 7\n", 3, "duplicate edge 1 0"),
+        ("0 1\n1 0\nn 4\n", 2, "duplicate edge 1 0"),
+        # and the other way round
+        ("0 1\n3 3\n1 0\n", 2, "self-loop 3 3"),
+        ("0 1\n4\n1 0\n", 2, "expected '<u> <v>'"),
+        ("0 1\nx y\n1 0\n", 2, "endpoints are not integers"),
+        ("n 5\n0 1\n0 7\n1 0\n", 3, "vertex id exceeds declared count 5"),
+        ("0 1\n-1 2\n1 0\n", 2, "negative vertex id"),
+        # a reversed duplicate names its second line
+        ("# c\n2 5\n0 1\n\n5 2\n", 5, "duplicate edge 5 2"),
+        ("2 5\n0 1\n5 2\n2 5\n", 3, "duplicate edge 5 2"),
+    ])
+    def test_first_offending_line(self, tmp_path, text, line, message):
+        p = tmp_path / "bad.edges"
+        p.write_text(text)
+        with pytest.raises(InputFormatError) as err:
+            read_edge_list(p)
+        assert str(err.value) == f"line {line}: {message}"
 
     def test_graphon_round_trip(self, tmp_path):
         w = StepGraphon([0.25, 0.75], [[1.0, 0.5], [0.5, 0.0]])

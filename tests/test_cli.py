@@ -54,6 +54,13 @@ class TestCensus:
         assert code == 1
         assert "too small" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_exit_1_without_output(self, capsys, c5_path, tol):
+        code, out, err = run(capsys, "census", c5_path, "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be a nonnegative real" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "census", "/nonexistent/file.edges")
         assert code == 2
@@ -206,6 +213,14 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--family", "g0",
                          "--param-grid", "x=0.1", "--n-list", "")
         assert code == 1
+
+    def test_non_integer_seeds_exit_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "g0",
+                             "--param-grid", "x=0.1", "--n-list", "50",
+                             "--seeds", "abc")
+        assert code == 1
+        assert out == ""
+        assert "--seeds is not a list of integers: 'abc'" in err
 
 
 class TestOptimize:
