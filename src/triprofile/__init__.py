@@ -8,9 +8,10 @@ from .boundary import (CurveParams, MembershipVerdict, Region, edge_partition,
                        linked_cliques_cross_density, linked_cliques_profile,
                        linked_cliques_sigma_for_triangle, membership,
                        min_triangle_density, min_triangle_density_inverse,
-                       parse_region, s03_upper_bound, s13_upper_bound,
-                       s13_upper_piece, s13_upper_slope, sample_boundary,
-                       three_cliques_profile, three_cliques_sigma_for_triangle)
+                       parse_region, region_coords, s03_upper_bound,
+                       s13_upper_bound, s13_upper_piece, s13_upper_slope,
+                       sample_boundary, three_cliques_profile,
+                       three_cliques_sigma_for_triangle)
 from .census import (DensityVector, Graph, StepGraphon, TripleCensus,
                      census_brute, census_fast, densities, graphon_densities,
                      read_edge_list, read_step_graphon, sample_w_random_graph,

@@ -4,11 +4,12 @@ The set of achievable 3-vertex density profiles of large graphs projects
 onto six coordinate planes, of which four are distinct up to complementation
 (S03, S12, S13, S23, indexing the number of edges in the two triple types).
 This module evaluates every boundary curve of those regions in closed form,
-inverts the monotone ones by bisection, and decides membership with a signed
-slack.
+inverts the monotone ones by safeguarded Newton iteration, and decides
+membership with a signed slack.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +22,7 @@ __all__ = [
     "MembershipVerdict",
     "CurveParams",
     "parse_region",
+    "region_coords",
     "edge_partition",
     "min_triangle_density",
     "min_triangle_density_inverse",
@@ -38,7 +40,7 @@ __all__ = [
     "sample_boundary",
 ]
 
-# inverse curves promise 1e-12 argument accuracy; running the bisections a
+# inverse curves promise 1e-12 argument accuracy; running the solves a
 # few halvings past that keeps composed round trips well inside it
 BISECT_TOL = 2e-14
 
@@ -79,6 +81,17 @@ def parse_region(name) -> tuple:
     raise DomainError(f"unknown region {name!r}; expected one of s03, s12, s13, s23")
 
 
+def region_coords(d) -> dict:
+    """A density vector's coordinates in each canonical region, in the order
+    s03, s12, s13, s23."""
+    return {
+        "s03": (d.d0, d.d3),
+        "s12": (d.d1, d.d2),
+        "s13": (d.d1, d.d3),
+        "s23": (d.d2, d.d3),
+    }
+
+
 @dataclass(frozen=True)
 class MembershipVerdict:
     """Outcome of a region query.
@@ -109,15 +122,36 @@ class CurveParams:
     isolated_mass: Optional[float] = None
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, target: float,
-            tol: float = BISECT_TOL) -> float:
-    """Invert a nondecreasing f on [lo, hi] to absolute argument tolerance."""
+def _solve(f: Callable[[float], float], df: Callable[[float], float],
+           lo: float, hi: float, target: float, start: Optional[float] = None,
+           tol: float = BISECT_TOL) -> float:
+    """Invert an increasing f on [lo, hi] to absolute argument tolerance.
+
+    Safeguarded Newton (rtsafe): every evaluation of f moves one end of the
+    bracket [lo, hi] around the root, and a bisection step replaces any
+    Newton step that would leave the bracket or that is not at most half
+    the step before last.  Stops once the bracket or a Newton step is
+    within tol; ``start`` (default: the midpoint) is clamped into the
+    bracket.
+    """
+    x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
+    step = before = hi - lo
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
+        fx = f(x) - target
+        if fx < 0.0:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        slope = df(x)
+        dx = fx / slope if slope > 0.0 else math.inf
+        if abs(dx) <= 0.25 * tol:
+            return x - dx
+        if lo < x - dx < hi and 2.0 * abs(dx) <= abs(before):
+            before, step = step, dx
+            x -= dx
+        else:
+            before, step = step, 0.5 * (hi - lo)
+            x = lo + step
     return 0.5 * (lo + hi)
 
 
@@ -148,10 +182,19 @@ def edge_partition(edge_density: float) -> CurveParams:
         k -= 1
     while 1.0 / k > gap:
         k += 1
+    return CurveParams(k=k, z=_partition_z(d, k))
+
+
+def _partition_z(d: float, k: int) -> float:
+    """The root z in [0, 1/k] of d = (1-z)(kz+k-2)/(k-1), for fixed k."""
     rad = 1.0 - k * (d * (k - 1) - k + 2.0)
     z = (1.0 - math.sqrt(max(rad, 0.0))) / k
-    z = min(max(z, 0.0), 1.0 / k)
-    return CurveParams(k=k, z=z)
+    return min(max(z, 0.0), 1.0 / k)
+
+
+def _piece_triangles(z: float, k: int) -> float:
+    """Triangle density of the k-partite structure with small part z."""
+    return (1.0 - z) ** 2 * (k - 2) * (2.0 * z * k + k - 3.0) / (k - 1) ** 2
 
 
 def min_triangle_density(edge_density: float) -> float:
@@ -167,18 +210,35 @@ def min_triangle_density(edge_density: float) -> float:
     if d >= 1.0:
         return 1.0
     p = edge_partition(d)
-    k, z = p.k, p.z
-    return (1.0 - z) ** 2 * (k - 2) * (2.0 * z * k + k - 3.0) / (k - 1) ** 2
+    return _piece_triangles(p.z, p.k)
 
 
 def min_triangle_density_inverse(t: float) -> float:
     """Inverse of the edge->min-triangle envelope, restricted to [1/2, 1].
 
-    Bisection on the continuous nondecreasing restriction; the result d_e
-    satisfies min_triangle_density(d_e) = t to within ~1e-9.
+    The envelope is smooth between its breakpoints T(k) = (k-1)(k-2)/k^2 at
+    d_e = 1 - 1/k.  The piece holding t, the smallest k >= 3 with
+    T(k) >= t, is found in O(1); the solve then runs on that piece alone,
+    with slope dt/dd_e = 3(1-z)(k-2)/(k-1).  The result is within
+    BISECT_TOL of the exact inverse.
     """
     t = _check_range("triangle density", t, 0.0, 1.0)
-    return _bisect(min_triangle_density, 0.5, 1.0, t)
+    if t == 0.0:
+        return 0.5
+    if t == 1.0:
+        return 1.0
+    # T(k) >= t is (3k-2)/k^2 <= 1-t, a quadratic in k solved in closed form
+    # (about 3/(1-t)) and then checked exactly: int/int division rounds
+    # correctly, and 1-t is exact for t >= 1/2, where k can be huge
+    gap = 1.0 - t
+    k = max(3, math.ceil((3.0 + math.sqrt(9.0 - 8.0 * gap)) / (2.0 * gap)))
+    while k > 3 and (3 * k - 5) / (k - 1) ** 2 <= gap:
+        k -= 1
+    while (3 * k - 2) / (k * k) > gap:
+        k += 1
+    return _solve(lambda d: _piece_triangles(_partition_z(d, k), k),
+                  lambda d: 3.0 * (1.0 - _partition_z(d, k)) * (k - 2) / (k - 1),
+                  1.0 - 1.0 / (k - 1), 1.0 - 1.0 / k, t)
 
 
 def linked_cliques_cross_density(sigma: float) -> float:
@@ -201,34 +261,51 @@ def linked_cliques_profile(sigma: float) -> tuple:
     root = math.sqrt(5.0 - 12.0 * s)
     d1 = (9.0 - 48.0 * s + 114.0 * s ** 2 - 120.0 * s ** 3
           + 3.0 * (1.0 - 2.0 * s) * (4.0 * s - 1.0) ** 2 * root) / (10.0 - 24.0 * s)
-    d3 = (2.0 - 18.0 * s + 57.0 * s ** 2 - 60.0 * s ** 3) / (5.0 - 12.0 * s)
-    return d1, d3
+    return d1, _linked_triangles(s)
+
+
+def _linked_triangles(s: float) -> float:
+    return (2.0 - 18.0 * s + 57.0 * s ** 2 - 60.0 * s ** 3) / (5.0 - 12.0 * s)
+
+
+def _linked_triangles_slope(s: float) -> float:
+    return 6.0 * (4.0 * s - 1.0) * (60.0 * s * s - 51.0 * s + 11.0) / (5.0 - 12.0 * s) ** 2
 
 
 def three_cliques_profile(sigma: float) -> tuple:
     """(co-cherry, triangle) densities of three cliques (sigma, sigma, 1-2 sigma)."""
     s = _check_range("sigma", sigma, 1.0 / 3.0, 0.5)
     d1 = 6.0 * s - 18.0 * s ** 2 + 18.0 * s ** 3
-    d3 = 1.0 - 6.0 * s + 12.0 * s ** 2 - 6.0 * s ** 3
-    return d1, d3
+    return d1, _three_triangles(s)
+
+
+def _three_triangles(s: float) -> float:
+    return 1.0 - 6.0 * s + 12.0 * s ** 2 - 6.0 * s ** 3
 
 
 def linked_cliques_sigma_for_triangle(x: float) -> float:
     """Invert the increasing triangle density of the linked-cliques family.
 
-    The family's triangle density is quadratically flat at sigma = 1/4, so
-    the exact left endpoint is pinned rather than bisected.
+    The family's triangle density is 1/16 + 6(sigma-1/4)^2 + O((sigma-1/4)^3),
+    quadratically flat at sigma = 1/4, so the exact left endpoint is pinned
+    and the solve starts from the quadratic's root.
     """
     x = _check_range("triangle density", x, 1.0 / 16.0, 1.0 / 9.0)
     if x == 1.0 / 16.0:
         return 0.25
-    return _bisect(lambda s: linked_cliques_profile(s)[1], 0.25, 1.0 / 3.0, x)
+    return _solve(_linked_triangles, _linked_triangles_slope, 0.25, 1.0 / 3.0, x,
+                  start=0.25 + math.sqrt((x - 1.0 / 16.0) / 6.0))
 
 
 def three_cliques_sigma_for_triangle(x: float) -> float:
-    """Invert the increasing triangle density of the three-cliques family."""
+    """Invert the increasing triangle density of the three-cliques family.
+
+    It is 1/9 + 6(sigma-1/3)^2 (1 - (sigma-1/3)), slope 6(1-sigma)(3 sigma-1);
+    the solve starts from the quadratic's root.
+    """
     x = _check_range("triangle density", x, 1.0 / 9.0, 0.25)
-    return _bisect(lambda s: three_cliques_profile(s)[1], 1.0 / 3.0, 0.5, x)
+    return _solve(_three_triangles, lambda s: 6.0 * (1.0 - s) * (3.0 * s - 1.0),
+                  1.0 / 3.0, 0.5, x, start=1.0 / 3.0 + math.sqrt((x - 1.0 / 9.0) / 6.0))
 
 
 _S13_PIECES = (
@@ -291,11 +368,24 @@ def isolated_mass_for_cotriangle(d0: float) -> float:
     """Isolated-block mass of the clique-plus-isolated-vertices graphon
     whose co-triangle density is d0.
 
-    Solves a^3 + 3 a^2 (1-a) = d0 (equivalently 3a^2 - 2a^3 = d0, strictly
-    increasing on [0, 1]) by bisection.
+    Solves a^3 + 3 a^2 (1-a) = d0, i.e. f(a) = a^2 (3 - 2a) = d0, strictly
+    increasing on [0, 1] with slope 6a(1-a), from the trigonometric root
+    1/2 + cos((arccos(1-2 d0) + 4 pi)/3) of the cubic.  Since
+    f(a) + f(1-a) = 1, d0 > 1/2 is solved as 1 - (root for 1-d0): 1-d0 is
+    exact there and the root near a = 1, where f is flat, stays well
+    conditioned.
     """
     d0 = _check_range("co-triangle density", d0, 0.0, 1.0)
-    return _bisect(lambda a: 3.0 * a * a - 2.0 * a ** 3, 0.0, 1.0, d0)
+    if d0 > 0.5:
+        return 1.0 - _isolated_mass(1.0 - d0)
+    return _isolated_mass(d0)
+
+
+def _isolated_mass(d0: float) -> float:
+    """The root in [0, 1/2] of a^2 (3 - 2a) = d0 <= 1/2."""
+    start = 0.5 + math.cos((math.acos(1.0 - 2.0 * d0) + 4.0 * math.pi) / 3.0)
+    return _solve(lambda a: a * a * (3.0 - 2.0 * a), lambda a: 6.0 * a * (1.0 - a),
+                  0.0, 0.5, d0, start)
 
 
 def s03_upper_bound(d0: float) -> float:
@@ -372,20 +462,20 @@ def membership(region, x: float, y: float, tol: float = 1e-9) -> MembershipVerdi
     return MembershipVerdict(inside=slack >= -tol, slack=slack, binding=binding)
 
 
+@functools.cache
 def _s03_crossover() -> float:
     """Co-triangle density where the two S03 upper branches cross."""
     def diff(d0):
         a = isolated_mass_for_cotriangle(d0)
         c = d0 ** (1.0 / 3.0)
         return (1.0 - a) ** 3 - ((1.0 - c) ** 3 + 3.0 * c * (1.0 - c) ** 2)
-    lo, hi = 0.2, 0.35
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if diff(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def slope(d0):
+        # da/dd0 = 1/(6a(1-a)) and dc/dd0 = 1/(3c^2)
+        a = isolated_mass_for_cotriangle(d0)
+        c = d0 ** (1.0 / 3.0)
+        return 2.0 * (1.0 - c) / c - (1.0 - a) / (2.0 * a)
+    return _solve(diff, slope, 0.2, 0.35, 0.0)
 
 
 def _grid(lo: float, hi: float, count: int) -> list:

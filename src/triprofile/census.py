@@ -45,6 +45,8 @@ _WEDGE_COST = 20
 _BITSET_MAX_BYTES = 1 << 28
 # Wedges checked at once by the wedge kernel: its scratch memory.
 _WEDGE_CHUNK = 1 << 20
+# Words in each of the bitset kernel's two row-gather buffers.
+_GATHER_WORDS = 1 << 16
 
 log = logging.getLogger(__name__)
 
@@ -296,7 +298,8 @@ def _triangles_bitset(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
     # Row gathers go into two buffers reused across chunks: fresh chunk-sized
     # temporaries are faulted in anew whenever the allocator has returned
     # their pages, which made this loop's cost depend on earlier allocations.
-    chunk = min(u.size, max(1, (1 << 22) // words))
+    # At _GATHER_WORDS words (512 KB) each, the pair stays in cache.
+    chunk = min(u.size, max(1, _GATHER_WORDS // words))
     a_buf = np.empty((chunk, words), dtype=np.uint64)
     b_buf = np.empty_like(a_buf)
     total = 0
@@ -521,67 +524,88 @@ def read_edge_list(path) -> Graph:
 
     Lines starting with '#' are comments; an optional leading directive
     "n <N>" fixes the vertex count; every other non-empty line is "<u> <v>"
-    with 0-based ids and u != v.  Duplicate edges, self-loops and malformed
-    lines are rejected with the number of the first offending line.
+    with 0-based ids and u != v.  Duplicate edges, self-loops, malformed
+    lines and text that is not UTF-8 are rejected with the number of the
+    first offending line.
 
     Each line is checked as it is read, except for repeated edges: one sort
     of all the edges finds those at the end, and one of the edges read so
     far runs before any other error is raised, so the error always names
     the first offending line.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            n_directive, ends = _parse_edge_lines(f)
+    except UnicodeDecodeError:
+        # the text layer decodes a buffer ahead of the lines handed out, so
+        # parse again one line at a time to name the first offending line
+        with open(path, "rb") as f:
+            n_directive, ends = _parse_edge_lines(_utf8_lines(f))
+    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    n = n_directive if n_directive is not None else (
+        int(edges.max()) + 1 if edges.size else 0)
+    return Graph.from_edges(n, edges)
+
+
+def _utf8_lines(f):
+    for lineno, raw in enumerate(f, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputFormatError(f"line {lineno}: not valid UTF-8") from None
+
+
+def _parse_edge_lines(lines_in) -> tuple:
+    """(n directive or None, endpoints as array('q')) of edge-list lines."""
     n_directive = None
     ends = array("q")
     lines = array("q")
     add_end, add_line = ends.append, lines.append   # bound once, not per line
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, 1):
-                toks = raw.split()
-                if not toks or toks[0].startswith("#"):
-                    continue
-                if toks[0] == "n":
-                    if n_directive is not None:
-                        raise InputFormatError(f"line {lineno}: duplicate 'n' directive")
-                    if lines:
-                        raise InputFormatError(
-                            f"line {lineno}: 'n' directive must precede all edges")
-                    if len(toks) != 2:
-                        raise InputFormatError(f"line {lineno}: malformed 'n' directive")
-                    try:
-                        n_directive = int(toks[1])
-                    except ValueError:
-                        raise InputFormatError(
-                            f"line {lineno}: vertex count is not an integer") from None
-                    if n_directive < 0:
-                        raise InputFormatError(f"line {lineno}: negative vertex count")
-                    continue
+        for lineno, raw in enumerate(lines_in, 1):
+            toks = raw.split()
+            if not toks or toks[0].startswith("#"):
+                continue
+            if toks[0] == "n":
+                if n_directive is not None:
+                    raise InputFormatError(f"line {lineno}: duplicate 'n' directive")
+                if lines:
+                    raise InputFormatError(
+                        f"line {lineno}: 'n' directive must precede all edges")
                 if len(toks) != 2:
-                    raise InputFormatError(f"line {lineno}: expected '<u> <v>'")
+                    raise InputFormatError(f"line {lineno}: malformed 'n' directive")
                 try:
-                    u, v = int(toks[0]), int(toks[1])
+                    n_directive = int(toks[1])
                 except ValueError:
                     raise InputFormatError(
-                        f"line {lineno}: endpoints are not integers") from None
-                if u == v:
-                    raise InputFormatError(f"line {lineno}: self-loop {u} {v}")
-                if u < 0 or v < 0:
-                    raise InputFormatError(f"line {lineno}: negative vertex id")
-                if n_directive is not None and (u >= n_directive or v >= n_directive):
-                    raise InputFormatError(
-                        f"line {lineno}: vertex id exceeds declared count {n_directive}")
-                add_end(u)
-                add_end(v)
-                add_line(lineno)
+                        f"line {lineno}: vertex count is not an integer") from None
+                if n_directive < 0:
+                    raise InputFormatError(f"line {lineno}: negative vertex count")
+                continue
+            if len(toks) != 2:
+                raise InputFormatError(f"line {lineno}: expected '<u> <v>'")
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise InputFormatError(
+                    f"line {lineno}: endpoints are not integers") from None
+            if u == v:
+                raise InputFormatError(f"line {lineno}: self-loop {u} {v}")
+            if u < 0 or v < 0:
+                raise InputFormatError(f"line {lineno}: negative vertex id")
+            if n_directive is not None and (u >= n_directive or v >= n_directive):
+                raise InputFormatError(
+                    f"line {lineno}: vertex id exceeds declared count {n_directive}")
+            add_end(u)
+            add_end(v)
+            add_line(lineno)
     except InputFormatError as err:
         # a duplicate on an earlier line is the first offending line
         raise (_duplicate_error(ends, lines) or err) from None
     dup = _duplicate_error(ends, lines)
     if dup is not None:
         raise dup
-    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
-    n = n_directive if n_directive is not None else (
-        int(edges.max()) + 1 if edges.size else 0)
-    return Graph.from_edges(n, edges)
+    return n_directive, ends
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -597,7 +621,7 @@ def read_step_graphon(path) -> StepGraphon:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InputFormatError(f"not a valid step-graphon document: {e}") from None
     if not isinstance(doc, dict) or set(doc) - {"sizes", "probs"}:
         raise InputFormatError(

@@ -38,13 +38,7 @@ def _verdict_word(v: bnd.MembershipVerdict, tol: float) -> str:
 
 
 def _print_verdicts(out, d, tol: float) -> None:
-    coords = {
-        "s03": (d.d0, d.d3),
-        "s12": (d.d1, d.d2),
-        "s13": (d.d1, d.d3),
-        "s23": (d.d2, d.d3),
-    }
-    for region, (x, y) in coords.items():
+    for region, (x, y) in bnd.region_coords(d).items():
         v = bnd.membership(region, x, y, tol)
         out.write(f"{region}: {_verdict_word(v, tol)} slack={_fmt(v.slack)} "
                   f"binding={v.binding}\n")

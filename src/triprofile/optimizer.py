@@ -143,6 +143,22 @@ def _term_eliminated(xs: np.ndarray, a: float) -> np.ndarray:
             + 3.0 * xs ** 2 * ys)
 
 
+def _term(x: float, a: float) -> float:
+    """_term_eliminated for one Python float, by stationary_y's rule.
+
+    Unlike stationary_y it accepts the round-off negatives a line search
+    can produce; like _term_eliminated it gives them y = 1.
+    """
+    if x <= 1.0 / (a + 1.0):
+        y = 1.0
+    elif x >= 0.5:
+        y = 0.5
+    else:
+        y = (1.0 / x - (3.0 - a)) / (2.0 * (a - 1.0))
+    return (x ** 3 * (3.0 - a - 3.0 * (3.0 - a) * y - 3.0 * (a - 1.0) * y ** 2)
+            + 3.0 * x ** 2 * y)
+
+
 def optimal_sigma(alpha: float) -> float:
     """The maximizing component mass sigma = (5 - (a-1)^2) / 12."""
     a = validate_alpha(alpha)
@@ -327,10 +343,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # pairwise-stationary saddle points, which matter when two stationary
 # configurations nearly merge at the ends of the alpha interval)
 _MOVES = (
-    np.array([1.0, 0.0, -1.0]), np.array([0.0, 1.0, -1.0]),
-    np.array([1.0, -1.0, 0.0]),
-    np.array([0.5, 0.5, -1.0]), np.array([0.5, -1.0, 0.5]),
-    np.array([-1.0, 0.5, 0.5]),
+    (1.0, 0.0, -1.0), (0.0, 1.0, -1.0), (1.0, -1.0, 0.0),
+    (0.5, 0.5, -1.0), (0.5, -1.0, 0.5), (-1.0, 0.5, 0.5),
 )
 
 
@@ -341,29 +355,33 @@ def _polish(x, a: float, refine_tol: float, coord_cap: float,
     Each move line-searches x + t*w over the segment keeping every
     coordinate inside [0, coord_cap] and |t| <= bracket.  Stops when a full
     sweep improves the value by less than refine_tol; errors out at the
-    iteration cap.
+    iteration cap.  Works on Python floats: three scalar terms per
+    evaluation.  Returns (x as a tuple, value).
     """
-    x = np.asarray(x, dtype=float).copy()
+    x = tuple(float(v) for v in x)
 
-    def val(arr):
-        return float(_term_eliminated(arr, a).sum())
+    def val(p):
+        return _term(p[0], a) + _term(p[1], a) + _term(p[2], a)
 
     best = val(x)
     for sweep in range(max_iter):
         for w in _MOVES:
             lo, hi = -bracket, bracket
-            for k in range(3):
-                if w[k] > 0:
-                    hi = min(hi, (coord_cap - x[k]) / w[k])
-                    lo = max(lo, -x[k] / w[k])
-                elif w[k] < 0:
-                    hi = min(hi, x[k] / -w[k])
-                    lo = max(lo, (x[k] - coord_cap) / -w[k])
+            for xk, wk in zip(x, w):
+                if wk > 0:
+                    hi = min(hi, (coord_cap - xk) / wk)
+                    lo = max(lo, -xk / wk)
+                elif wk < 0:
+                    hi = min(hi, xk / -wk)
+                    lo = max(lo, (xk - coord_cap) / -wk)
             if hi <= lo:
                 continue
+            x0, x1, x2 = x
+            w0, w1, w2 = w
 
             def f(t):
-                return val(x + t * w)
+                return (_term(x0 + t * w0, a) + _term(x1 + t * w1, a)
+                        + _term(x2 + t * w2, a))
 
             c = hi - _GOLDEN * (hi - lo)
             d = lo + _GOLDEN * (hi - lo)
@@ -378,7 +396,8 @@ def _polish(x, a: float, refine_tol: float, coord_cap: float,
                     d = lo + _GOLDEN * (hi - lo)
                     fd = f(d)
             t = 0.5 * (lo + hi)
-            trial = np.clip(x + t * w, 0.0, coord_cap)
+            trial = tuple(min(max(xk + t * wk, 0.0), coord_cap)
+                          for xk, wk in zip(x, w))
             if val(trial) > best:
                 x = trial
                 best = val(x)
@@ -419,22 +438,21 @@ def maximize_grid(alpha: float, grid: int = 400,
                            vals, -np.inf)
     polished = []
     for b in np.argsort(-strict_vals)[:12]:
-        start = np.array([x1[b], x2[b], x3[b]])
-        polished.append(_polish(start, a, refine_tol, coord_cap=0.5,
-                                bracket=bracket))
+        polished.append(_polish((x1[b], x2[b], x3[b]), a, refine_tol,
+                                coord_cap=0.5, bracket=bracket))
     champion = max(v for _, v in polished)
     if champion < full_best - 1e-9:
         # the restricted refinement lost ground; fall back to the
         # unconstrained polish from the global grid argmax
         b = int(np.argmax(vals))
-        x, value = _polish(np.array([x1[b], x2[b], x3[b]]), a, refine_tol,
+        x, value = _polish((x1[b], x2[b], x3[b]), a, refine_tol,
                            coord_cap=1.0, bracket=bracket)
     else:
         # among ties prefer the maximizer farthest from the x_j = 1/2
         # face (the strictly feasible one), then sort for determinism
         x, value = min((p for p in polished if p[1] >= champion - 1e-12),
-                       key=lambda p: float(np.max(p[0])))
-    xs = tuple(sorted(float(v) for v in x))
+                       key=lambda p: max(p[0]))
+    xs = tuple(sorted(x))
     ys = tuple(stationary_y(v, a) for v in xs)
     best = FeasiblePoint(x=xs, y=ys)
     return OptimizationResult(

@@ -46,19 +46,10 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     return sample_w_random_graph(w, n, int(rng.integers(0, 2 ** 31)))
 
 
-def _region_coords(d) -> dict:
-    return {
-        "s03": (d.d0, d.d3),
-        "s12": (d.d1, d.d2),
-        "s13": (d.d1, d.d3),
-        "s23": (d.d2, d.d3),
-    }
-
-
 def min_region_slack(d, tol: float) -> float:
     """Minimum membership slack of a density vector over all four regions."""
     return min(boundary.membership(region, x, y, tol).slack
-               for region, (x, y) in _region_coords(d).items())
+               for region, (x, y) in boundary.region_coords(d).items())
 
 
 def census_suite(samples: int = 1000, seed: int = 7) -> list:

@@ -1,8 +1,11 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from triprofile import boundary
 from triprofile import (DomainError, StepGraphon, edge_partition,
                         graphon_densities, isolated_mass_for_cotriangle,
                         linked_cliques_cross_density, linked_cliques_profile,
@@ -87,6 +90,121 @@ class TestEnvelopeInverse:
     def test_domain(self):
         with pytest.raises(DomainError):
             min_triangle_density_inverse(1.5)
+
+
+def bisect_oracle(f, lo, hi, target):
+    """Plain bisection of an increasing f, down to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+# the forward curves in exact rational arithmetic, so the oracle's answer
+# carries no round-off of its own even where the curve is flat
+def exact_isolated(a):
+    a = Fraction(a)
+    return a * a * (3 - 2 * a)
+
+
+def exact_linked(s):
+    s = Fraction(s)
+    return (2 - 18 * s + 57 * s ** 2 - 60 * s ** 3) / (5 - 12 * s)
+
+
+def exact_three(s):
+    s = Fraction(s)
+    return 1 - 6 * s + 12 * s ** 2 - 6 * s ** 3
+
+
+BREAKPOINTS = [(k - 1) * (k - 2) / k ** 2 for k in range(3, 51)]
+NEAR_ONE = [math.nextafter(1.0, 0.0), 1 - 1e-12, 1 - 1e-8]
+TINY = [1e-300, 1e-20, 5e-17, 1e-12]
+
+
+def timed(fn, x):
+    start = time.perf_counter()
+    value = fn(x)
+    assert time.perf_counter() - start < 0.05, x
+    return value
+
+
+class TestInverseOracles:
+    """Every inverse against plain bisection, to 1e-12 in the argument."""
+
+    def test_envelope(self):
+        # the envelope has slope >= 1 on [1/2, 1], so bisecting the float
+        # forward curve pins the argument to round-off
+        for t in list(np.linspace(0.0, 1.0, 2001)) + BREAKPOINTS + NEAR_ONE + TINY:
+            t = float(t)
+            want = bisect_oracle(min_triangle_density, 0.5, 1.0, t)
+            assert abs(timed(min_triangle_density_inverse, t) - want) <= 1e-12, t
+
+    def test_isolated_mass(self):
+        for d0 in list(np.linspace(0.0, 1.0, 801)) + NEAR_ONE + TINY + [1 - 1e-16]:
+            d0 = float(d0)
+            want = bisect_oracle(exact_isolated, 0.0, 1.0, Fraction(d0))
+            assert abs(timed(isolated_mass_for_cotriangle, d0) - want) <= 1e-12, d0
+
+    def test_linked_sigma(self):
+        for x in np.linspace(1 / 16, 1 / 9, 801):
+            x = float(x)
+            want = bisect_oracle(exact_linked, 0.25, 1 / 3, Fraction(x))
+            assert abs(timed(linked_cliques_sigma_for_triangle, x) - want) <= 1e-12, x
+
+    def test_three_sigma(self):
+        for x in np.linspace(1 / 9, 0.25, 801):
+            x = float(x)
+            want = bisect_oracle(exact_three, 1 / 3, 0.5, Fraction(x))
+            assert abs(timed(three_cliques_sigma_for_triangle, x) - want) <= 1e-12, x
+
+    def test_flat_ends_round_trip(self):
+        # both sigma families are quadratically flat at their junction
+        # (sigma = 1/4 at x = 1/16, sigma = 1/3 at x = 1/9): within a few
+        # ulps of it the float curve cannot pin sigma past ~1e-8, so the
+        # contract there is the round trip
+        for inverse, profile, x0, s0 in (
+                (linked_cliques_sigma_for_triangle, linked_cliques_profile, 1 / 16, 0.25),
+                (three_cliques_sigma_for_triangle, three_cliques_profile, 1 / 9, 1 / 3)):
+            for dx in [0.0] + TINY:
+                s = timed(inverse, x0 + dx)
+                assert abs(profile(s)[1] - (x0 + dx)) <= 1e-12
+                assert abs(s - s0) <= 1e-7 + math.sqrt(dx)
+
+    def test_few_solver_steps(self, monkeypatch):
+        # away from the flat ends and the bracket ends every solve is
+        # Newton's: a handful of evaluations, where bisection needs ~45
+        solve = boundary._solve
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            calls.append(0)
+
+            def g(x):
+                calls[-1] += 1
+                return f(x)
+            return solve(g, *args, **kwargs)
+        monkeypatch.setattr(boundary, "_solve", counted)
+        for inverse, lo, hi in ((min_triangle_density_inverse, 0.0, 1.0),
+                                (isolated_mass_for_cotriangle, 0.0, 1.0),
+                                (linked_cliques_sigma_for_triangle, 1 / 16, 1 / 9),
+                                (three_cliques_sigma_for_triangle, 1 / 9, 0.25)):
+            calls.clear()
+            for x in np.linspace(lo, hi, 401)[1:-1]:
+                inverse(float(x))
+            assert len(calls) == 399 and max(calls) <= 10, inverse.__name__
+
+    def test_s03_crossover(self):
+        def diff(d0):
+            a = bisect_oracle(exact_isolated, 0.0, 1.0, Fraction(d0))
+            c = d0 ** (1 / 3)
+            return (1 - a) ** 3 - ((1 - c) ** 3 + 3 * c * (1 - c) ** 2)
+        want = bisect_oracle(diff, 0.2, 0.35, 0.0)
+        assert abs(boundary._s03_crossover() - want) <= 1e-12
 
 
 class TestCliqueFamilies:

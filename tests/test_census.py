@@ -211,6 +211,28 @@ class TestTriangleKernels:
         assert c.counts == (math.comb(n, 3) - c1 - (p2 - 3 * t) - t, c1, p2 - 3 * t, t)
         assert peak < 64 * 2 ** 20
 
+    def test_dense_gather_buffers_small(self, monkeypatch):
+        # circulant on 5000 vertices with offsets 1..40: m=200000, as dense
+        # as census-files' dense input, and 5000*C(40,2) triangles (each
+        # lies in one arc of length <= 40).  Its bitset is 3.2 MB; row-gather
+        # buffers sized by m rather than by the bitset peaked near 75 MB.
+        chosen = []
+        monkeypatch.setattr(census, "_triangles_bitset",
+                            lambda g, u, v: chosen.append(1) or _triangles_bitset(g, u, v))
+        n, r = 5000, 40
+        i = np.arange(n)
+        g = Graph.from_edges(n, np.concatenate(
+            [np.column_stack([i, (i + d) % n]) for d in range(1, r + 1)]))
+        tracemalloc.start()
+        try:
+            c = census_fast(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chosen and g.m == 200000
+        assert c.c3 == n * math.comb(r, 2)
+        assert peak < 24 * 2 ** 20
+
 
 class TestDensities:
     def test_c5(self):
@@ -422,6 +444,28 @@ class TestFiles:
         with pytest.raises(InputFormatError) as err:
             read_edge_list(p)
         assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("data,line", [
+        (b"0 1\n\xff\xfe 2\n", 2),
+        (b"# caf\xe9\n0 1\n", 1),
+        # the text layer fails on the buffer holding line 4 before it hands
+        # out line 2, which is the first offending line
+        (b"0 1\n1 0\n2 3\n\xff\n", 2),
+        # past the text layer's first buffer
+        (b"".join(b"%d %d\n" % (i, i + 1) for i in range(0, 8000, 2))
+         + b"1 \xc3\n", 4001),
+    ], ids=["endpoint", "comment", "after-duplicate", "late"])
+    def test_not_utf8(self, tmp_path, data, line):
+        p = tmp_path / "bad.edges"
+        p.write_bytes(data)
+        with pytest.raises(InputFormatError, match=f"^line {line}: "):
+            read_edge_list(p)
+
+    def test_graphon_not_utf8(self, tmp_path):
+        p = tmp_path / "w.json"
+        p.write_bytes(b'{"sizes": [1.0], "probs": [[0.5]]} \xff')
+        with pytest.raises(InputFormatError, match="not a valid step-graphon"):
+            read_step_graphon(p)
 
     def test_graphon_round_trip(self, tmp_path):
         w = StepGraphon([0.25, 0.75], [[1.0, 0.5], [0.5, 0.0]])

@@ -33,6 +33,11 @@ class TestCensus:
         assert "d_e: 0.5" in out
         assert "outside" not in out
 
+    def test_verdict_order(self, capsys, c5_path):
+        _, out, _ = run(capsys, "census", c5_path)
+        regions = [ln.split(":")[0] for ln in out.splitlines()[-4:]]
+        assert regions == ["s03", "s12", "s13", "s23"]
+
     def test_graphon_two_block(self, capsys, two_block_path):
         code, out, _ = run(capsys, "census", two_block_path, "--graphon")
         assert code == 0
@@ -46,6 +51,20 @@ class TestCensus:
         code, _, err = run(capsys, "census", str(p))
         assert code == 2
         assert "line 2" in err
+
+    def test_not_utf8_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "bad.edges"
+        p.write_bytes(b"0 1\n\xff\xfe 2\n")
+        code, out, err = run(capsys, "census", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: line 2: not valid UTF-8\n"
+
+    def test_graphon_not_utf8_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "w.json"
+        p.write_bytes(b'{"sizes": [1.0], "probs": [[0.5]]}\xff')
+        code, out, err = run(capsys, "census", str(p), "--graphon")
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a valid step-graphon document")
 
     def test_too_small_exit_1(self, capsys, tmp_path):
         p = tmp_path / "tiny.edges"

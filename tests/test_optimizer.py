@@ -7,7 +7,8 @@ from triprofile import (DomainError, analytic_candidates, closed_form_max,
                         linked_cliques_profile, maximize_grid, objective,
                         optimal_sigma, s13_upper_bound, s13_upper_slope,
                         stationarity_residual, stationary_y, validate_alpha)
-from triprofile.optimizer import ALPHA_HI, FeasiblePoint
+from triprofile.optimizer import (ALPHA_HI, FeasiblePoint, _term,
+                                  _term_eliminated)
 
 ALPHAS = (2.05, 2.1, 2.2, 2.3, 2.41)
 
@@ -179,6 +180,27 @@ class TestMaximizeGrid:
             for c in analytic_candidates(a):
                 if not c.attains_max:
                     assert c.value <= m - 1e-6, (a, c.label)
+
+    def test_scalar_term_matches_vectorized(self):
+        # the polish evaluates _term on floats, the grid scan
+        # _term_eliminated on arrays: both follow stationary_y's branches,
+        # including at the junctions 1/(a+1) and 1/2 and at round-off
+        # negatives (numpy's power may differ from libm's in the last bit)
+        for a in ALPHAS:
+            xs = np.concatenate([[0.0, 1.0 / (a + 1.0), 0.5, -1e-17],
+                                 np.linspace(0.0, 1.0, 4001)])
+            want = _term_eliminated(xs, a)
+            got = np.array([_term(float(x), a) for x in xs])
+            assert np.max(np.abs(got - want)) <= 4e-16
+
+    @pytest.mark.parametrize("a,value", [
+        (2.05, 0.43915636150380255),
+        (2.2, 0.4260162962962963),
+        (2.41, 0.4118750082996404),
+    ])
+    def test_value_unchanged_by_scalar_polish(self, a, value):
+        # values of the array-based polish this one replaced
+        assert abs(maximize_grid(a).value - value) <= 1e-12
 
     def test_relaxation_tightness(self):
         # the returned maximizer is strictly feasible: no y pinned at 1/2
