@@ -130,25 +130,35 @@ def _solve(f: Callable[[float], float], df: Callable[[float], float],
     Safeguarded Newton (rtsafe): every evaluation of f moves one end of the
     bracket [lo, hi] around the root, and a bisection step replaces any
     Newton step that would leave the bracket or that is not at most half
-    the step before last.  Stops once the bracket or a Newton step is
-    within tol; ``start`` (default: the midpoint) is clamped into the
-    bracket.
+    the step before last.  A Newton step past an end of [lo, hi] that no
+    evaluation has moved lands on that end, so a root at the end of the
+    range is hit exactly instead of being crept up on by bisection.  Stops
+    at an exact hit, or once the bracket or a Newton step is within tol;
+    ``start`` (default: the midpoint) is clamped into the bracket.
     """
+    bottom, top = lo, hi
     x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
     step = before = hi - lo
     while hi - lo > tol:
         fx = f(x) - target
+        if fx == 0.0:
+            return x
         if fx < 0.0:
             lo = x
         else:
             hi = x
         slope = df(x)
-        dx = fx / slope if slope > 0.0 else math.inf
+        dx = fx / slope if slope > 0.0 else math.copysign(math.inf, fx)
         if abs(dx) <= 0.25 * tol:
             return x - dx
-        if lo < x - dx < hi and 2.0 * abs(dx) <= abs(before):
+        nx = x - dx
+        if nx >= hi and hi == top:
+            nx, dx = hi, x - hi
+        elif nx <= lo and lo == bottom:
+            nx, dx = lo, x - lo
+        if lo <= nx <= hi and 2.0 * abs(dx) <= abs(before):
             before, step = step, dx
-            x -= dx
+            x = nx
         else:
             before, step = step, 0.5 * (hi - lo)
             x = lo + step
@@ -381,9 +391,18 @@ def isolated_mass_for_cotriangle(d0: float) -> float:
     return _isolated_mass(d0)
 
 
+# Below this co-triangle density the isolated-mass solve starts from
+# sqrt(d0/3), whose relative error a/3 is then under 2e-6, rather than from
+# the cubic's trigonometric root, whose error grows like 1e-16/d0.
+_TINY_COTRIANGLE = 1e-10
+
+
 def _isolated_mass(d0: float) -> float:
     """The root in [0, 1/2] of a^2 (3 - 2a) = d0 <= 1/2."""
-    start = 0.5 + math.cos((math.acos(1.0 - 2.0 * d0) + 4.0 * math.pi) / 3.0)
+    if d0 < _TINY_COTRIANGLE:
+        start = math.sqrt(d0 / 3.0)     # 1 - 2 d0 would round the cubic's root to 0
+    else:
+        start = 0.5 + math.cos((math.acos(1.0 - 2.0 * d0) + 4.0 * math.pi) / 3.0)
     return _solve(lambda a: a * a * (3.0 - 2.0 * a), lambda a: 6.0 * a * (1.0 - a),
                   0.0, 0.5, d0, start)
 

@@ -9,9 +9,11 @@ as the limit of sampling three independent points.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -47,6 +49,16 @@ _BITSET_MAX_BYTES = 1 << 28
 _WEDGE_CHUNK = 1 << 20
 # Words in each of the bitset kernel's two row-gather buffers.
 _GATHER_WORDS = 1 << 16
+# Bytes of an edge-list body the fast parser checks at once: its masks and
+# token positions are O(chunk), beside the endpoint array itself.
+_EDGE_CHUNK = 1 << 23
+# Longest token the fast parser takes: 18 digits stay below 2^63.
+_MAX_DIGITS = 18
+# Largest vertex id an int64 endpoint array holds.
+_INT64_MAX = (1 << 63) - 1
+# One line as file iteration in text mode splits it: at \n, \r or \r\n.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
+_EOL = re.compile(rb"[\r\n]")
 
 log = logging.getLogger(__name__)
 
@@ -391,9 +403,11 @@ def census_fast(g: Graph) -> TripleCensus:
     n = g.n
     if n < 3:
         raise DomainError("graph too small for triple census")
-    deg = [int(d) for d in g.degrees]
-    m = sum(deg) // 2
-    p2 = sum(d * (d - 1) // 2 for d in deg)
+    m = g.m
+    # p2 from the degree histogram: at most about sqrt(4m) distinct degrees
+    hist = np.bincount(g.degrees)
+    degs = np.flatnonzero(hist)
+    p2 = sum(d * (d - 1) // 2 * c for d, c in zip(degs.tolist(), hist[degs].tolist()))
     t = _count_triangles(g)
     c3 = t
     c2 = p2 - 3 * t
@@ -528,23 +542,113 @@ def read_edge_list(path) -> Graph:
     lines and text that is not UTF-8 are rejected with the number of the
     first offending line.
 
-    Each line is checked as it is read, except for repeated edges: one sort
-    of all the edges finds those at the end, and one of the edges read so
-    far runs before any other error is raised, so the error always names
-    the first offending line.
+    A well-formed file is parsed in numpy (see _parse_edge_bytes).  Any file
+    the fast path does not accept, or whose edges from_edges rejects, is
+    parsed again by the line loop, which checks each line as it is read,
+    except for repeated edges: one sort of all the edges finds those at the
+    end, and one of the edges read so far runs before any other error is
+    raised, so the error always names the first offending line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            n_directive, ends = _parse_edge_lines(f)
-    except UnicodeDecodeError:
-        # the text layer decodes a buffer ahead of the lines handed out, so
-        # parse again one line at a time to name the first offending line
-        with open(path, "rb") as f:
-            n_directive, ends = _parse_edge_lines(_utf8_lines(f))
-    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    with open(path, "rb") as f:
+        data = f.read()
+    parsed = _parse_edge_bytes(data)
+    if parsed is not None:
+        try:
+            return _edge_graph(*parsed)
+        except DomainError:
+            pass    # a self-loop, a duplicate or an id out of range
+    return _edge_graph(*_parse_edge_text(data))
+
+
+def _edge_graph(n_directive, edges: np.ndarray) -> Graph:
     n = n_directive if n_directive is not None else (
         int(edges.max()) + 1 if edges.size else 0)
     return Graph.from_edges(n, edges)
+
+
+def _parse_edge_text(data: bytes) -> tuple:
+    """(n directive or None, (m, 2) endpoints) of a file, by the line loop."""
+    try:
+        n_directive, ends = _parse_edge_lines(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except UnicodeDecodeError:
+        # the text layer decodes a buffer ahead of the lines handed out, so
+        # parse again one line at a time to name the first offending line
+        n_directive, ends = _parse_edge_lines(_utf8_lines(io.BytesIO(data)))
+    return n_directive, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+
+
+def _parse_edge_bytes(data: bytes):
+    """(n directive or None, (m, 2) endpoints) of a well-formed file, or None.
+
+    The leading blank, comment and "n" lines go through the line loop.  The
+    rest is taken only if every byte is a digit, space, tab, CR or LF, every
+    line (ended by CR or LF) holds 0 or 2 tokens, and no token has more than
+    _MAX_DIGITS digits.  It is checked and parsed in chunks of about
+    _EDGE_CHUNK bytes, each cut after a line end.  None means the line loop
+    must decide.
+    """
+    header = []
+    body = 0
+    for match in _LINE.finditer(data):
+        raw = match.group()
+        if not raw:
+            break                   # the end of the data
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        toks = line.split()
+        if toks and toks[0] != "n" and not toks[0].startswith("#"):
+            break
+        header.append(line)
+        body = match.end()
+    try:
+        n_directive, _ = _parse_edge_lines(header)
+    except InputFormatError:
+        return None
+    parts = []
+    while body < len(data):
+        eol = _EOL.search(data, body + _EDGE_CHUNK)
+        cut = eol.end() if eol else len(data)
+        ends = _parse_edge_chunk(data[body:cut])
+        if ends is None:
+            return None
+        parts.append(ends)
+        body = cut
+    ends = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return n_directive, ends.reshape(-1, 2)
+
+
+def _parse_edge_chunk(chunk: bytes):
+    """The integers of whole edge lines, or None unless they are well formed."""
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    digit = (b - np.uint8(ord("0"))) < 10
+    eol = (b == ord("\n")) | (b == ord("\r"))
+    if (np.count_nonzero(digit) + np.count_nonzero(eol) + np.count_nonzero(b == ord(" "))
+            + np.count_nonzero(b == ord("\t")) != b.size):
+        return None
+    # a run of _MAX_DIGITS + 1 digits, found by doubling the run length
+    run, width = digit, 1
+    while width <= _MAX_DIGITS:
+        step = min(width, _MAX_DIGITS + 1 - width)
+        run = run[:-step] & run[step:]
+        width += step
+    if run.any():
+        return None
+    start = np.empty_like(digit)
+    start[:1] = digit[:1]
+    np.greater(digit[1:], digit[:-1], out=start[1:])
+    # among token starts and line ends in file order, the tokens come in
+    # adjacent pairs with a line end between one pair and the next
+    tok = np.flatnonzero(start[np.flatnonzero(start | eol)])
+    if (tok.size % 2 or np.any(tok[1::2] - tok[0::2] != 1)
+            or np.any(tok[2::2] - tok[1:-1:2] < 2)):
+        return None
+    if tok.size == 0:
+        return np.empty(0, dtype=np.int64)     # fromstring reads a 0 from blanks
+    ends = np.fromstring(chunk, dtype=np.int64, sep=" ")
+    return ends if ends.size == tok.size else None
 
 
 def _utf8_lines(f):
@@ -596,6 +700,8 @@ def _parse_edge_lines(lines_in) -> tuple:
             if n_directive is not None and (u >= n_directive or v >= n_directive):
                 raise InputFormatError(
                     f"line {lineno}: vertex id exceeds declared count {n_directive}")
+            if u > _INT64_MAX or v > _INT64_MAX:
+                raise InputFormatError(f"line {lineno}: vertex id too large")
             add_end(u)
             add_end(v)
             add_line(lineno)

@@ -122,6 +122,7 @@ def exact_three(s):
 
 
 BREAKPOINTS = [(k - 1) * (k - 2) / k ** 2 for k in range(3, 51)]
+ABOVE_BREAKPOINTS = [math.nextafter(t, 1.0) for t in BREAKPOINTS]
 NEAR_ONE = [math.nextafter(1.0, 0.0), 1 - 1e-12, 1 - 1e-8]
 TINY = [1e-300, 1e-20, 5e-17, 1e-12]
 
@@ -139,7 +140,8 @@ class TestInverseOracles:
     def test_envelope(self):
         # the envelope has slope >= 1 on [1/2, 1], so bisecting the float
         # forward curve pins the argument to round-off
-        for t in list(np.linspace(0.0, 1.0, 2001)) + BREAKPOINTS + NEAR_ONE + TINY:
+        for t in (list(np.linspace(0.0, 1.0, 2001)) + BREAKPOINTS + ABOVE_BREAKPOINTS
+                  + NEAR_ONE + TINY):
             t = float(t)
             want = bisect_oracle(min_triangle_density, 0.5, 1.0, t)
             assert abs(timed(min_triangle_density_inverse, t) - want) <= 1e-12, t
@@ -197,6 +199,16 @@ class TestInverseOracles:
             for x in np.linspace(lo, hi, 401)[1:-1]:
                 inverse(float(x))
             assert len(calls) == 399 and max(calls) <= 10, inverse.__name__
+        # roots at or next to a bracket end (an envelope piece starts at
+        # each breakpoint), and tiny d0, where the cubic's closed-form root
+        # rounds to 0: the oracle tests above check these values
+        for inverse, x in ((three_cliques_sigma_for_triangle, 0.25),
+                           (isolated_mass_for_cotriangle, 1e-20),
+                           (isolated_mass_for_cotriangle, 1e-300),
+                           *((min_triangle_density_inverse, t) for t in ABOVE_BREAKPOINTS)):
+            calls.clear()
+            inverse(x)
+            assert len(calls) == 1 and calls[0] <= 10, (inverse.__name__, x)
 
     def test_s03_crossover(self):
         def diff(d0):

@@ -437,6 +437,10 @@ class TestFiles:
         # a reversed duplicate names its second line
         ("# c\n2 5\n0 1\n\n5 2\n", 5, "duplicate edge 5 2"),
         ("2 5\n0 1\n5 2\n2 5\n", 3, "duplicate edge 5 2"),
+        # ids an int64 endpoint array cannot hold
+        ("0 1\n2 100000000000000000000\n", 2, "vertex id too large"),
+        ("0 1\n9223372036854775808 2\n", 2, "vertex id too large"),
+        ("0 1\n1 0\n2 100000000000000000000\n", 2, "duplicate edge 1 0"),
     ])
     def test_first_offending_line(self, tmp_path, text, line, message):
         p = tmp_path / "bad.edges"
@@ -486,3 +490,169 @@ class TestFiles:
         p.write_text('{"sizes": [1.0]}')
         with pytest.raises(InputFormatError, match="probs"):
             read_step_graphon(p)
+
+
+def line_loop_graph(path) -> Graph:
+    """read_edge_list by the line loop alone: the parser without a fast path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            n, ends = census._parse_edge_lines(f)
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            n, ends = census._parse_edge_lines(census._utf8_lines(f))
+    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    if n is None:
+        n = int(edges.max()) + 1 if edges.size else 0
+    return Graph.from_edges(n, edges)
+
+
+def parse_outcome(read, path) -> tuple:
+    """The graph's n and CSR bytes, the InputFormatError text, or the type raised."""
+    try:
+        g = read(path)
+    except InputFormatError as err:
+        return ("InputFormatError", str(err))
+    except Exception as err:    # compared by type across the two paths
+        return (type(err).__name__,)
+    return (g.n, g._indptr.tobytes(), g._nbrs.tobytes())
+
+
+# name -> (file bytes, whether the numpy path takes it)
+PARSE_CASES = {
+    "crlf": (b"n 4\r\n0 1\r\n2 3\r\n", True),
+    "crlf-comment": (b"# c\r\n0 1\r\n1 2\r\n", True),
+    "lone-cr": (b"0 1\r2 3\r", True),
+    "lone-cr-splits-edge": (b"0\r1\n", False),
+    "cr-after-directive": (b"n 5\r0 1\n", True),
+    "form-feed-comment": (b"# h\x0cn 12\n0 1\n", True),
+    "tabs": (b"0\t1\n\t2 \t 3\t\n", True),
+    "leading-zeros": (b"n 0012\n007 0011\n00 1\n", True),
+    "no-final-newline": (b"0 1\n1 2", True),
+    "blank-lines": (b"\n\n0 1\n\n \t\n2 3\n\n", True),
+    "header-only": (b"# only\n\nn 5\n", True),
+    "empty": (b"", True),
+    "18-digits": (b"n 3\n000000000000000002 1\n", True),
+    "19-digits": (b"n 3\n0000000000000000002 1\n", False),
+    "late-comment": (b"0 1\n# c\n1 2\n", False),
+    "plus": (b"+1 2\n", False),
+    "underscore": (b"1_0 2\n", False),
+    "arabic-digit": ("\u0663 1\n".encode(), False),
+    "nbsp": ("0\u00a01\n".encode(), False),
+    "vertical-tab": (b"0\x0b1\n", False),
+    "self-loop": (b"0 1\n2 2\n", True),
+    "duplicate": (b"0 1\n2 3\n1 0\n", True),
+    "out-of-range": (b"n 3\n0 1\n1 3\n", True),
+    "three-tokens": (b"0 1\n1 2 3\n", False),
+    "four-tokens": (b"0 1 2 3\n", False),
+    "comment-no-space": (b"#c\n0 1\n", True),
+    "indented-header": (b"  # c\n\t n 3\n0 1\n", True),
+    "bad-header": (b"n 3 4\n0 1\n", False),
+    "bad-header-utf8": (b"# \xff\n0 1\n", False),
+}
+
+# what the fuzz inserts, or puts in place of a byte
+FUZZ_PIECES = ([bytes([c]) for c in b"0123456789 \t\r\n#n-+_\x0b\x0c\x1c\x85\xff"]
+               + [b"\r\n", "\u0085".encode(), "\u00a0".encode(), b"9" * 18,
+                  b"1" + b"0" * 18, b"0" * 18 + b"7"])
+
+
+@st.composite
+def mutated_edge_files(draw) -> bytes:
+    """A valid file with a fixed "n 50" header and mutated lines after it.
+
+    The header stays intact, so no mutation makes the vertex count large.
+    """
+    pairs = st.tuples(st.integers(0, 49), st.integers(0, 49)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=25, unique_by=lambda e: frozenset(e)))
+    eol = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    sep = draw(st.sampled_from([b" ", b"\t", b"  ", b" \t "]))
+    width = draw(st.sampled_from([1, 3]))
+    head = b"n 50" + eol
+    body = bytearray(draw(st.sampled_from([b"", b"# c" + eol, eol])))
+    body += eol.join(b"%0*d%s%0*d" % (width, u, sep, width, v) for u, v in edges)
+    body += draw(st.sampled_from([b"", eol]))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(body)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        piece = draw(st.sampled_from(FUZZ_PIECES))
+        if op == "insert":
+            body[at:at] = piece
+        elif op == "delete":
+            del body[at:at + 1]
+        else:
+            body[at:at + 1] = piece
+    return head + bytes(body)
+
+
+@pytest.fixture(scope="class")
+def edge_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "g.edges"
+
+
+class TestParsePaths:
+    """The numpy parse path against the line loop it falls back to."""
+
+    @pytest.mark.parametrize("name", sorted(PARSE_CASES))
+    def test_named_cases(self, edge_path, name):
+        data, fast = PARSE_CASES[name]
+        edge_path.write_bytes(data)
+        assert parse_outcome(read_edge_list, edge_path) == parse_outcome(line_loop_graph, edge_path)
+        assert (census._parse_edge_bytes(data) is not None) == fast
+
+    def test_named_results(self, edge_path):
+        expect = {"lone-cr-splits-edge": "line 1: expected '<u> <v>'",
+                  "19-digits": None, "self-loop": "line 2: self-loop 2 2",
+                  "duplicate": "line 3: duplicate edge 1 0",
+                  "out-of-range": "line 3: vertex id exceeds declared count 3"}
+        for name, message in expect.items():
+            edge_path.write_bytes(PARSE_CASES[name][0])
+            if message is None:
+                assert read_edge_list(edge_path) == Graph.from_edges(3, [(2, 1)])
+            else:
+                with pytest.raises(InputFormatError) as err:
+                    read_edge_list(edge_path)
+                assert str(err.value) == message
+        for name, n, edges in (("form-feed-comment", 2, [(0, 1)]),
+                               ("cr-after-directive", 5, [(0, 1)]),
+                               ("leading-zeros", 12, [(7, 11), (0, 1)]),
+                               ("header-only", 5, []), ("empty", 0, [])):
+            edge_path.write_bytes(PARSE_CASES[name][0])
+            assert read_edge_list(edge_path) == Graph.from_edges(n, edges), name
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_edge_files(), st.sampled_from([census._EDGE_CHUNK, 1, 9]))
+    def test_fuzz_agrees_with_line_loop(self, edge_path, data, chunk):
+        edge_path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "_EDGE_CHUNK", chunk)
+            assert (parse_outcome(read_edge_list, edge_path)
+                    == parse_outcome(line_loop_graph, edge_path))
+
+    @pytest.mark.parametrize("chunk", [1, 10, 64, 1 << 23])
+    def test_chunks(self, monkeypatch, edge_path, chunk):
+        monkeypatch.setattr(census, "_EDGE_CHUNK", chunk)
+        g = gnp(np.random.default_rng(5), 60, 0.2)
+        write_edge_list(g, edge_path)
+        assert census._parse_edge_bytes(edge_path.read_bytes()) is not None
+        assert read_edge_list(edge_path) == g
+        # a bad byte in the last chunk sends the whole file to the line loop
+        with open(edge_path, "ab") as f:
+            f.write(b"1 x\n")
+        with pytest.raises(InputFormatError, match=f"^line {g.m + 2}: endpoints"):
+            read_edge_list(edge_path)
+
+    def test_memory_per_chunk(self, monkeypatch):
+        # the masks and token positions are O(chunk): the peak is the
+        # endpoint arrays (the chunks' and their concatenation) plus little
+        monkeypatch.setattr(census, "_EDGE_CHUNK", 1 << 16)
+        m = 100_000
+        rows = np.arange(m)
+        data = b"".join(b"%d %d\n" % (u, u + 1) for u in rows.tolist())
+        tracemalloc.start()
+        try:
+            n, edges = census._parse_edge_bytes(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n is None and np.array_equal(edges[:, 0], rows)
+        assert peak < 2 * edges.nbytes + (2 << 20), peak

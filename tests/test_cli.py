@@ -59,6 +59,13 @@ class TestCensus:
         assert code == 2 and out == ""
         assert err == "error: line 2: not valid UTF-8\n"
 
+    def test_huge_vertex_id_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "huge.edges"
+        p.write_text("0 1\n2 100000000000000000000\n")
+        code, out, err = run(capsys, "census", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: line 2: vertex id too large\n"
+
     def test_graphon_not_utf8_exit_2(self, capsys, tmp_path):
         p = tmp_path / "w.json"
         p.write_bytes(b'{"sizes": [1.0], "probs": [[0.5]]}\xff')
