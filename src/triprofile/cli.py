@@ -111,7 +111,7 @@ def cmd_construct(args) -> int:
     g = cons.realize(spec)
     write_edge_list(g, args.out)
     lim = graphon_densities(cons.limit_graphon(spec))
-    fin = densities(census_fast(g))
+    fin = densities(cons.finite_census(spec, g))
     dev = max(abs(u - v) for u, v in zip(fin.profile + (fin.d_e,),
                                          lim.profile + (lim.d_e,)))
     summary = {
@@ -181,7 +181,7 @@ def cmd_sweep(args) -> int:
         for n in n_list:
             for seed in seeds:
                 spec = cons.FamilySpec(args.family, params, n=n, seed=seed)
-                fin = densities(census_fast(cons.realize(spec)))
+                fin = densities(cons.finite_census(spec))
                 dev = max(abs(u - v) for u, v in
                           zip(fin.profile + (fin.d_e,), lim.profile + (lim.d_e,)))
                 row = [args.family, label, str(n), str(seed)]

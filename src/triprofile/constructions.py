@@ -1,25 +1,30 @@
 """Extremal families, as exact step graphons and as finite graphs.
 
 Each family traces part of a region boundary (or fills its interior) in the
-limit; the graphon form is the exact limit object and the finite form is a
-floor-rounded realization, deterministic for 0/1 block densities and seeded
-otherwise.
+limit.  FAMILIES gives each one its parameter domains, its exact limit
+graphon and its finite structure at n vertices: a floor-rounded blow-up,
+deterministic for 0/1 block densities and seeded otherwise.  A deterministic
+structure fixes the census as a polynomial in its part sizes, which
+finite_census evaluates without building the graph.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import boundary
-from .census import Graph, StepGraphon, _block_random_graph, graphon_densities
+from .census import (Graph, StepGraphon, TripleCensus, _Blowup, census_fast,
+                     graphon_densities)
 from .errors import DomainError
 
 __all__ = [
+    "Family",
     "FamilySpec",
-    "FAMILY_DOMAINS",
+    "FAMILIES",
     "g0_graphon",
     "g0_graph",
     "g1_graphon",
@@ -34,9 +39,15 @@ __all__ = [
     "blowup_graph",
     "realize",
     "limit_graphon",
+    "finite_census",
 ]
 
 _DROP = 1e-15
+# Most parts a multipartite family may have: graphon_densities holds a few
+# arrays of B^3 floats, about 100 MB at this many blocks.
+_MAX_PARTS = 128
+
+log = logging.getLogger(__name__)
 
 
 def _graphon(sizes, probs) -> StepGraphon:
@@ -99,55 +110,24 @@ def _near_equal_parts(n: int, k: int) -> list:
     return [q + 1] * r + [q] * (k - r)
 
 
-def _sample_block_graph(part_sizes, probs, seed: int) -> Graph:
-    """Graph on fixed parts; each pair joined with its block density.
+def _g0_blowup(n: int, x: float) -> _Blowup:
+    """Finite g0 on n vertices: floors of the limit weights.
 
-    One uniform per unordered pair in row-major order (PCG64, seeded), so
-    the output is reproducible; with all densities 0 or 1 the result does
-    not depend on the seed at all.
+    Only the regime with fractional densities (0 < x < 1/16) is sampled.  In
+    the linked-cliques regime the two linked parts are joined by the
+    circulant of degree floor(delta * size).
     """
-    parts = [int(p) for p in part_sizes]
-    if any(p < 0 for p in parts):
-        raise DomainError("part sizes must be nonnegative")
-    P = np.asarray(probs, dtype=float)
-    blocks = np.repeat(np.arange(len(parts)), parts)
-    return _block_random_graph(blocks, P, np.random.default_rng(seed))
-
-
-def _range_clique_edges(start: int, size: int) -> np.ndarray:
-    if size < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    iu, ju = np.triu_indices(size, 1)
-    return np.column_stack([iu + start, ju + start]).astype(np.int64)
-
-
-def g0_graph(x: float, n: int, seed: int = 0) -> Graph:
-    """Finite n-vertex realization of g0_graphon(x).
-
-    Part sizes are floors of the limit weights; only the regime with
-    fractional densities (0 < x < 1/16) consumes randomness.  In the
-    linked-cliques regime the bipartite graph between the two linked parts
-    is the circulant: vertex i of one side is adjacent to vertices
-    i, i+1, ..., i+d-1 (mod size) of the other, d = floor(delta * size),
-    which is exactly biregular.
-    """
-    x = _check("x", x, -0.25, 0.25)
-    if n < 8:
-        raise DomainError("need n >= 8")
     if x < 0:
         s = int((0.25 + x) * n)
-        parts = [s, s, s, s, n - 4 * s]
         P = np.zeros((5, 5))
-        P[0, 1] = P[1, 0] = 1.0
-        P[2, 3] = P[3, 2] = 1.0
-        return _sample_block_graph(parts, P, seed)
+        P[0, 1] = P[1, 0] = P[2, 3] = P[3, 2] = 1.0
+        return _Blowup([s, s, s, s, n - 4 * s], P)
     if x < 1.0 / 16.0:
         u = 16.0 * x
         P = np.zeros((4, 4))
         np.fill_diagonal(P, u)
-        P[0, 1] = P[1, 0] = 1.0 - u
-        P[2, 3] = P[3, 2] = 1.0 - u
-        return _sample_block_graph(_near_equal_parts(n, 4), P, seed)
+        P[0, 1] = P[1, 0] = P[2, 3] = P[3, 2] = 1.0 - u
+        return _Blowup(_near_equal_parts(n, 4), P)
     if x < 1.0 / 9.0:
         sg = boundary.linked_cliques_sigma_for_triangle(x)
         delta = boundary.linked_cliques_cross_density(sg)
@@ -155,23 +135,20 @@ def g0_graph(x: float, n: int, seed: int = 0) -> Graph:
         if na < 1:
             raise DomainError(f"n={n} too small for nonempty parts")
         rem = n - 2 * na
-        nc = (rem + 1) // 2
-        nd = rem - nc
-        offs = np.cumsum([0, na, na, nc, nd])
-        chunks = [_range_clique_edges(offs[i], offs[i + 1] - offs[i])
-                  for i in range(4)]
-        d = int(delta * na)
-        if d > 0:
-            i = np.arange(na, dtype=np.int64)
-            cross = [np.column_stack([i, offs[1] + (i + shift) % na])
-                     for shift in range(d)]
-            chunks.extend(cross)
-        return Graph.from_edges(n, np.concatenate(chunks))
-    sg = boundary.three_cliques_sigma_for_triangle(x)
-    sa = int(sg * n)
+        return _Blowup([na, na, (rem + 1) // 2, rem // 2], np.eye(4),
+                       link=(0, 1, int(delta * na)))
+    sa = int(boundary.three_cliques_sigma_for_triangle(x) * n)
     if sa < 1:
         raise DomainError(f"n={n} too small for nonempty parts")
-    return _sample_block_graph([sa, sa, n - 2 * sa], np.eye(3), seed)
+    return _Blowup([sa, sa, n - 2 * sa], np.eye(3))
+
+
+def g0_graph(x: float, n: int, seed: int = 0) -> Graph:
+    """Finite n-vertex realization of g0_graphon(x) (see _g0_blowup)."""
+    x = _check("x", x, -0.25, 0.25)
+    if n < 8:
+        raise DomainError("need n >= 8")
+    return _g0_blowup(n, x).graph(seed)
 
 
 def g1_graphon(a: float, x: float) -> StepGraphon:
@@ -196,24 +173,23 @@ def g1_profile(a: float, x: float) -> tuple:
     return d.d1, d.d3
 
 
+def _g1_blowup(n: int, a: float, x: float) -> _Blowup:
+    m = math.ceil((1.0 - a) * n)
+    if m == 0:
+        return _Blowup([], np.zeros((0, 0)), universal=n)
+    if m < 8:
+        raise DomainError(f"(1-a)*n = {m} leaves too few vertices for the base family")
+    base = _g0_blowup(m, x)
+    return _Blowup(base.parts, base.probs, base.link, n - m)
+
+
 def g1_graph(a: float, x: float, n: int, seed: int = 0) -> Graph:
     """g0_graph on ceil((1-a) n) vertices plus floor(a n) universal vertices."""
     a = _check("a", a, 0.0, 1.0)
+    x = _check("x", x, -0.25, 0.25)
     if n < 8:
         raise DomainError("need n >= 8")
-    m = math.ceil((1.0 - a) * n)
-    if m == 0:
-        return Graph.complete(n)
-    if m < 8:
-        raise DomainError(f"(1-a)*n = {m} leaves too few vertices for the base family")
-    base = g0_graph(x, m, seed)
-    src, dst = base.directed_edges()
-    keep = src < dst
-    edges = [np.column_stack([src[keep], dst[keep]])]
-    for u in range(m, n):
-        others = np.arange(u, dtype=np.int64)
-        edges.append(np.column_stack([others, np.full(u, u, dtype=np.int64)]))
-    return Graph.from_edges(n, np.concatenate(edges))
+    return _g1_blowup(n, a, x).graph(seed)
 
 
 def g2_graphon(a: float, p: float) -> StepGraphon:
@@ -241,9 +217,15 @@ def s12_graphon(a: float, p: float) -> StepGraphon:
     return _graphon([a, 1.0 - a], [[p, 1.0 - p], [1.0 - p, p]])
 
 
+def _part_count(k: int, what: str) -> int:
+    if k > _MAX_PARTS:
+        raise DomainError(f"{what} needs more than {_MAX_PARTS} parts")
+    return k
+
+
 def _floor_reciprocal(a: float) -> int:
     # tiny epsilon so float inputs like 0.1 produce the intended 1/a
-    return int(math.floor(1.0 / a + 1e-9))
+    return _part_count(math.floor(min(1.0 / a + 1e-9, _MAX_PARTS + 1.0)), f"a = {a!r}")
 
 
 def s23_graphon(a: float, b: float) -> StepGraphon:
@@ -282,7 +264,7 @@ def min_triangle_graphon(edge_density: float) -> StepGraphon:
     """
     d = _check("edge density", edge_density, 0.5, 1.0, hi_open=True)
     p = boundary.edge_partition(d)
-    k, z = p.k, p.z
+    k, z = _part_count(p.k, f"edge density {d!r}"), p.z
     sizes = [(1.0 - z) / (k - 1)] * (k - 1) + [z]
     return _graphon(sizes, 1.0 - np.eye(k))
 
@@ -299,25 +281,70 @@ def clique_plus_isolated_graphon(a: float, complemented: bool = False) -> StepGr
     return _graphon([a, 1.0 - a], P)
 
 
+def _two_parts(n: int, a: float, probs) -> _Blowup:
+    k = int(a * n)
+    return _Blowup([k, n - k], np.array(probs))
+
+
+def _multipartite_blowup(n: int, a: float, b: float) -> _Blowup:
+    """Isolated part int((1-b) n); floor(1/a) parts of int(a b n) and the
+    rest of the multipartite mass, or for a = 0 one clique."""
+    iso = int((1.0 - b) * n)
+    if a == 0.0:
+        parts = [n - iso]
+    else:
+        m = _floor_reciprocal(a)
+        part = int(a * b * n)
+        parts = [part] * m + [n - iso - m * part]
+    k = len(parts)
+    P = np.zeros((k + 1, k + 1))
+    P[:k, :k] = 1.0 - np.eye(k) if a else 1.0
+    return _Blowup(parts + [iso], P)
+
+
+def _blowup(w: StepGraphon, n: int) -> _Blowup:
+    parts = [int(s * n) for s in w.sizes]
+    parts[-1] += n - sum(parts)
+    return _Blowup(parts, w.probs)
+
+
 def blowup_graph(w: StepGraphon, n: int, seed: int = 0) -> Graph:
     """Finite realization: floor-sized parts (leftover vertices to the last
     part), pairs joined with their block density (deterministic when the
     densities are all 0/1)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    parts = [int(s * n) for s in w.sizes]
-    parts[-1] += n - sum(parts)
-    return _sample_block_graph(parts, w.probs, seed)
+    return _blowup(w, n).graph(seed)
 
 
-FAMILY_DOMAINS = {
-    "g0": {"x": (-0.25, 0.25, False)},
-    "g1": {"a": (0.0, 1.0, False), "x": (-0.25, 0.25, False)},
-    "g2": {"a": (0.0, 1.0, False), "p": (0.0, 1.0, False)},
-    "s12": {"a": (0.0, 1.0, False), "p": (0.0, 1.0, False)},
-    "multipartite": {"a": (0.0, 0.5, False), "b": (0.0, 1.0, False)},
-    "min-triangle": {"de": (0.5, 1.0, True)},
-    "clique-isolated": {"a": (0.0, 1.0, False), "complemented": (0.0, 1.0, False)},
+class Family(NamedTuple):
+    """One construction family: each parameter's (lo, hi, hi_open) domain,
+    the limit graphon and the finite blow-up at n vertices (both called with
+    the parameters as keywords), and the parameters that take only 0 or 1."""
+
+    domains: dict
+    graphon: Callable[..., StepGraphon]
+    blowup: Callable[..., _Blowup]
+    flags: tuple = ()
+
+
+_UNIT = (0.0, 1.0, False)
+_X = (-0.25, 0.25, False)
+
+FAMILIES = {
+    "g0": Family({"x": _X}, g0_graphon, _g0_blowup),
+    "g1": Family({"a": _UNIT, "x": _X}, g1_graphon, _g1_blowup),
+    "g2": Family({"a": _UNIT, "p": _UNIT}, g2_graphon,
+                 lambda n, a, p: _two_parts(n, a, [[1.0, p], [p, 1.0 - p]])),
+    "s12": Family({"a": _UNIT, "p": _UNIT}, s12_graphon,
+                  lambda n, a, p: _two_parts(n, a, [[p, 1.0 - p], [1.0 - p, p]])),
+    "multipartite": Family({"a": (0.0, 0.5, False), "b": _UNIT}, s23_graphon,
+                           _multipartite_blowup),
+    "min-triangle": Family({"de": (0.5, 1.0, True)}, lambda de: min_triangle_graphon(de),
+                           lambda n, de: _blowup(min_triangle_graphon(de), n)),
+    "clique-isolated": Family(
+        {"a": _UNIT, "complemented": _UNIT}, clique_plus_isolated_graphon,
+        lambda n, **p: _blowup(clique_plus_isolated_graphon(**p), n), ("complemented",)),
 }
 
 
@@ -331,86 +358,57 @@ class FamilySpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.family not in FAMILY_DOMAINS:
+        if self.family not in FAMILIES:
             raise DomainError(
-                f"unknown family {self.family!r}; valid: {sorted(FAMILY_DOMAINS)}")
-        domains = FAMILY_DOMAINS[self.family]
-        unknown = set(self.params) - set(domains)
+                f"unknown family {self.family!r}; valid: {sorted(FAMILIES)}")
+        fam = FAMILIES[self.family]
+        unknown = set(self.params) - set(fam.domains)
         if unknown:
             raise DomainError(
                 f"unknown parameter(s) {sorted(unknown)} for family {self.family!r};"
-                f" expected {sorted(domains)}")
-        missing = set(domains) - set(self.params)
+                f" expected {sorted(fam.domains)}")
+        missing = set(fam.domains) - set(self.params)
         if missing:
             raise DomainError(
                 f"missing parameter(s) {sorted(missing)} for family {self.family!r}")
-        for key, (lo, hi, hi_open) in domains.items():
-            _check(f"{self.family} parameter {key}", self.params[key], lo, hi,
-                   hi_open=hi_open)
+        for key, (lo, hi, hi_open) in fam.domains.items():
+            name = f"{self.family} parameter {key}"
+            value = _check(name, self.params[key], lo, hi, hi_open=hi_open)
+            if key in fam.flags and value not in (0.0, 1.0):
+                raise DomainError(f"{name} must be 0 or 1 (got {value!r})")
 
 
 def limit_graphon(spec: FamilySpec) -> StepGraphon:
     """The exact limit object of a family at the given parameters."""
-    p = spec.params
-    if spec.family == "g0":
-        return g0_graphon(p["x"])
-    if spec.family == "g1":
-        return g1_graphon(p["a"], p["x"])
-    if spec.family == "g2":
-        return g2_graphon(p["a"], p["p"])
-    if spec.family == "s12":
-        return s12_graphon(p["a"], p["p"])
-    if spec.family == "multipartite":
-        return s23_graphon(p["a"], p["b"])
-    if spec.family == "min-triangle":
-        return min_triangle_graphon(p["de"])
-    return clique_plus_isolated_graphon(p["a"], bool(p["complemented"]))
+    return FAMILIES[spec.family].graphon(**spec.params)
+
+
+def _finite(spec: FamilySpec) -> _Blowup:
+    if spec.n is None or spec.n < 8:
+        raise DomainError("realization needs n >= 8")
+    return FAMILIES[spec.family].blowup(spec.n, **spec.params)
 
 
 def realize(spec: FamilySpec) -> Graph:
     """Finite graph of a family: floor part sizes, circulant bipartite link
     where the family calls for exact biregularity, seeded sampling for
     fractional densities."""
-    if spec.n is None or spec.n < 8:
-        raise DomainError("realization needs n >= 8")
-    n = spec.n
-    seed = 0 if spec.seed is None else spec.seed
-    p = spec.params
-    if spec.family == "g0":
-        return g0_graph(p["x"], n, seed)
-    if spec.family == "g1":
-        return g1_graph(p["a"], p["x"], n, seed)
-    if spec.family == "g2":
-        a = p["a"]
-        parts = [int(a * n)]
-        parts.append(n - parts[0])
-        pr = p["p"]
-        P = np.array([[1.0, pr], [pr, 1.0 - pr]])
-        return _sample_block_graph(parts, P, seed)
-    if spec.family == "s12":
-        a = p["a"]
-        parts = [int(a * n)]
-        parts.append(n - parts[0])
-        pr = p["p"]
-        P = np.array([[pr, 1.0 - pr], [1.0 - pr, pr]])
-        return _sample_block_graph(parts, P, seed)
-    if spec.family == "multipartite":
-        a, b = p["a"], p["b"]
-        iso = int((1.0 - b) * n)
-        inner_total = n - iso
-        if a == 0.0:
-            parts = [inner_total, iso]
-            P = np.zeros((2, 2))
-            P[0, 0] = 1.0
-            return _sample_block_graph(parts, P, seed)
-        m = _floor_reciprocal(a)
-        part = int(a * b * n)
-        parts = [part] * m + [inner_total - m * part, iso]
-        k = m + 1
-        P = np.zeros((k + 1, k + 1))
-        P[:k, :k] = 1.0 - np.eye(k)
-        return _sample_block_graph(parts, P, seed)
-    if spec.family == "min-triangle":
-        return blowup_graph(min_triangle_graphon(p["de"]), n, seed)
-    return blowup_graph(
-        clique_plus_isolated_graphon(p["a"], bool(p["complemented"])), n, seed)
+    return _finite(spec).graph(0 if spec.seed is None else spec.seed)
+
+
+def finite_census(spec: FamilySpec, graph: Optional[Graph] = None) -> TripleCensus:
+    """Exact triple census of realize(spec).
+
+    When every block density is 0 or 1 it is computed from the part sizes
+    (see _Blowup.census), at any n, without a graph and independent of the
+    seed.  Otherwise it is census_fast of ``graph``, the caller's
+    realize(spec) if it holds one, or of a new realization.  The path taken
+    is logged at DEBUG on the "triprofile.constructions" logger.
+    """
+    bl = _finite(spec)
+    structural = bl.deterministic and spec.n < 1 << 63
+    log.debug("finite census: family=%s n=%d path=%s", spec.family, spec.n,
+              "structure" if structural else "graph")
+    if structural:
+        return bl.census()
+    return census_fast(realize(spec) if graph is None else graph)

@@ -78,6 +78,10 @@ class TestGraph:
         with pytest.raises(DomainError, match=r"edges must be \(u, v\) pairs"):
             Graph.from_edges(6, np.array([(0, 1, 2), (3, 4, 5)]))
 
+    def test_rejects_too_many_vertices(self):
+        with pytest.raises(DomainError, match="vertex count 67108865 too large"):
+            Graph.from_edges(census._MAX_VERTICES + 1, [])
+
     def test_complement(self):
         g = cycle(5)
         gc = g.complement()
@@ -441,6 +445,13 @@ class TestFiles:
         ("0 1\n2 100000000000000000000\n", 2, "vertex id too large"),
         ("0 1\n9223372036854775808 2\n", 2, "vertex id too large"),
         ("0 1\n1 0\n2 100000000000000000000\n", 2, "duplicate edge 1 0"),
+        # ids and counts beyond the vertex limit, whose keys would overflow
+        # or whose graph could not be allocated
+        ("0 999999999999999999\n70368744177664 999999999999999999\n", 1,
+         "vertex id too large"),
+        ("0 1000000000000\n", 1, "vertex id too large"),
+        (f"0 1\n2 {census._MAX_VERTICES}\n", 2, "vertex id too large"),
+        (f"n {census._MAX_VERTICES + 1}\n0 1\n", 1, "vertex count too large"),
     ])
     def test_first_offending_line(self, tmp_path, text, line, message):
         p = tmp_path / "bad.edges"

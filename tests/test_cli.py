@@ -66,6 +66,19 @@ class TestCensus:
         assert code == 2 and out == ""
         assert err == "error: line 2: vertex id too large\n"
 
+    @pytest.mark.parametrize("text", [
+        # keys near 2^63 once overflowed into a false duplicate
+        "0 999999999999999999\n70368744177664 999999999999999999\n",
+        # a graph too large to allocate
+        "0 1000000000000\n",
+    ])
+    def test_vertex_limit_exit_2(self, capsys, tmp_path, text):
+        p = tmp_path / "huge.edges"
+        p.write_text(text)
+        code, out, err = run(capsys, "census", str(p))
+        assert code == 2 and out == ""
+        assert err == "error: line 1: vertex id too large\n"
+
     def test_graphon_not_utf8_exit_2(self, capsys, tmp_path):
         p = tmp_path / "w.json"
         p.write_bytes(b'{"sizes": [1.0], "probs": [[0.5]]}\xff')
@@ -198,6 +211,18 @@ class TestConstruct:
                              "--n", "150", "--seed", "11", "--out", str(out))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["construct", "sweep"])
+    def test_complemented_must_be_0_or_1(self, capsys, tmp_path, command):
+        argv = {"construct": ["--param", "a=0.5", "--param", "complemented=0.3",
+                              "--n", "50", "--out", str(tmp_path / "x.edges")],
+                "sweep": ["--param-grid", "a=0.5", "--param-grid", "complemented=0.3",
+                          "--n-list", "50"]}[command]
+        code, out, err = run(capsys, command, "--family", "clique-isolated", *argv)
+        assert code == 1 and out == ""
+        assert err == ("error: clique-isolated parameter complemented must be 0 or 1"
+                       " (got 0.3)\n")
+        assert not (tmp_path / "x.edges").exists()
 
     def test_invalid_family_lists_ranges(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--family", "g0",

@@ -1,10 +1,14 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triprofile import (DomainError, FamilySpec, Graph, census_fast,
-                        clique_plus_isolated_graphon, densities, g0_graph,
+from triprofile import (FAMILIES, DomainError, FamilySpec, Graph, census_fast,
+                        clique_plus_isolated_graphon, densities, finite_census,
+                        g0_graph,
                         g0_graphon, g1_graph, g1_graphon, g1_profile,
                         g2_graphon, g2_profile, graphon_densities,
                         limit_graphon, membership, min_triangle_density,
@@ -235,6 +239,16 @@ class TestMinTriangleFamily:
             min_triangle_graphon(1.0)
         with pytest.raises(DomainError):
             min_triangle_graphon(0.4)
+        # block counts whose graphon_densities would not fit in memory
+        assert min_triangle_graphon(1 - 1 / 128).num_blocks == 128
+        for de in (1 - 1 / 129, 0.9999999999999999):
+            with pytest.raises(DomainError, match="needs more than 128 parts"):
+                min_triangle_graphon(de)
+        for a in (1 / 129, 1e-9, 5e-324):
+            with pytest.raises(DomainError, match="needs more than 128 parts"):
+                s23_graphon(a, 0.5)
+            with pytest.raises(DomainError, match="needs more than 128 parts"):
+                realize(FamilySpec("multipartite", {"a": a, "b": 0.5}, n=50))
 
 
 class TestCliquePlusIsolated:
@@ -329,3 +343,102 @@ class TestRealize:
             FamilySpec("g0", {"x": 0.5})
         with pytest.raises(DomainError, match="n >= 8"):
             realize(FamilySpec("g0", {"x": 0.1}, n=4))
+        for flag in (0.3, 0.5, 1e-300, 2.0):
+            with pytest.raises(DomainError, match="complemented must"):
+                FamilySpec("clique-isolated", {"a": 0.5, "complemented": flag})
+        FamilySpec("clique-isolated", {"a": 0.5, "complemented": 1})
+
+
+def census_outcome(census, spec):
+    """The census, or the text of the DomainError raised."""
+    try:
+        return census(spec)
+    except DomainError as err:
+        return str(err)
+
+
+def realized_census(spec):
+    return census_fast(realize(spec))
+
+
+G0_X = (-0.25, -0.1, 0.0, 1 / 16, 0.08, 1 / 9, 0.2, 0.25)
+# the families whose every block density is 0 or 1, with g1 also over the
+# seeded regime 0 < x < 1/16
+DETERMINISTIC = (
+    [("g0", {"x": x}) for x in G0_X]
+    + [("g1", {"a": a, "x": x}) for a in (0.0, 0.3, 1.0) for x in G0_X]
+    + [(f, {"a": a, "p": p}) for f in ("g2", "s12") for a in (0.0, 0.3) for p in (0.0, 1.0)]
+    + [("multipartite", {"a": a, "b": b}) for a in (0.0, 0.29, 1 / 3, 0.5)
+       for b in (0.0, 0.8, 1.0)]
+    + [("min-triangle", {"de": de}) for de in (0.5, 0.6, 0.9)]
+    + [("clique-isolated", {"a": a, "complemented": c}) for a in (0.2, 0.57) for c in (0, 1)])
+SEEDED = [("g0", {"x": 0.03}), ("g1", {"a": 0.3, "x": 0.03}),
+          ("g2", {"a": 0.3, "p": 0.6}), ("s12", {"a": 0.5, "p": 0.3})]
+# one case of each deterministic regime at the largest size: the whole list
+# there would take about 40 s of graph building and counting
+LARGE = [("g0", {"x": -0.1}), ("g0", {"x": 0.08}), ("g0", {"x": 0.2}),
+         ("g1", {"a": 0.3, "x": 0.08}), ("multipartite", {"a": 0.29, "b": 0.8}),
+         ("min-triangle", {"de": 0.6}), ("clique-isolated", {"a": 0.57, "complemented": 1})]
+
+
+class TestFiniteCensus:
+    """finite_census against census_fast of the realized graph."""
+
+    @pytest.mark.parametrize("n", [8, 9, 37])
+    @pytest.mark.parametrize("family,params", DETERMINISTIC + SEEDED)
+    def test_small(self, family, params, n):
+        # every seed is its own oracle; messages agree where realize rejects
+        for seed in (0, 1, 7):
+            spec = FamilySpec(family, params, n=n, seed=seed)
+            assert (census_outcome(finite_census, spec)
+                    == census_outcome(realized_census, spec))
+
+    @pytest.mark.parametrize("family,params", DETERMINISTIC)
+    def test_seed_independent_at_500(self, family, params):
+        want = realized_census(FamilySpec(family, params, n=500, seed=0))
+        for seed in (0, 1, 7):
+            assert finite_census(FamilySpec(family, params, n=500, seed=seed)) == want
+
+    @pytest.mark.parametrize("family,params", LARGE)
+    def test_large(self, family, params):
+        want = realized_census(FamilySpec(family, params, n=2999, seed=0))
+        for seed in (0, 1, 7):
+            assert finite_census(FamilySpec(family, params, n=2999, seed=seed)) == want
+
+    def test_paths_logged(self, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="triprofile.constructions")
+        finite_census(FamilySpec("g1", {"a": 0.3, "x": 0.08}, n=100))
+        finite_census(FamilySpec("g0", {"x": 0.03}, n=100, seed=2))
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "triprofile.constructions"] == [
+            "finite census: family=g1 n=100 path=structure",
+            "finite census: family=g0 n=100 path=graph"]
+        assert capsys.readouterr() == ("", "")
+
+    def test_given_graph_is_counted(self):
+        spec = FamilySpec("s12", {"a": 0.5, "p": 0.3}, n=60, seed=4)
+        g = realize(spec)
+        assert finite_census(spec, g) == finite_census(spec) == census_fast(g)
+
+    def test_beyond_the_vertex_limit(self):
+        # the structure is counted at any size; a graph that large is refused
+        # before anything is allocated
+        spec = FamilySpec("g0", {"x": 0.2}, n=10 ** 9)
+        d = densities(finite_census(spec))
+        assert abs(d.d3 - 0.2) <= 1e-8
+        with pytest.raises(DomainError, match="too large"):
+            realize(spec)
+        with pytest.raises(DomainError, match="too large"):
+            finite_census(FamilySpec("g0", {"x": 0.2}, n=1 << 63))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzz(self, data):
+        family = data.draw(st.sampled_from(sorted(FAMILIES)))
+        fam = FAMILIES[family]
+        params = {key: data.draw(st.sampled_from([0.0, 1.0]) if key in fam.flags
+                                 else st.floats(lo, hi, exclude_max=hi_open))
+                  for key, (lo, hi, hi_open) in fam.domains.items()}
+        spec = FamilySpec(family, params, n=data.draw(st.integers(0, 300)),
+                          seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+        assert census_outcome(finite_census, spec) == census_outcome(realized_census, spec)
