@@ -14,7 +14,8 @@ from .boundary import (CurveParams, MembershipVerdict, Region, edge_partition,
                        three_cliques_sigma_for_triangle)
 from .census import (DensityVector, Graph, StepGraphon, TripleCensus,
                      census_brute, census_fast, densities, graphon_densities,
-                     read_edge_list, read_step_graphon, sample_w_random_graph,
+                     graphon_densities_brute, read_edge_list,
+                     read_step_graphon, sample_w_random_graph,
                      write_edge_list, write_step_graphon)
 from .constructions import (FAMILIES, Family, FamilySpec, blowup_graph,
                             clique_plus_isolated_graphon, finite_census,

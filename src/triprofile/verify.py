@@ -13,7 +13,8 @@ import numpy as np
 
 from . import boundary, constructions, optimizer
 from .census import (Graph, StepGraphon, census_brute, census_fast, densities,
-                     graphon_densities, sample_w_random_graph)
+                     graphon_densities, graphon_densities_brute,
+                     sample_w_random_graph)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "random_step_graphon"]
 
@@ -70,6 +71,16 @@ def census_suite(samples: int = 1000, seed: int = 7) -> list:
     results.append(_result(
         "census fast = brute (oracle equivalence)", equal,
         f"{samples} random graphs, n<=60" if equal else f"mismatch at {worst}"))
+
+    max_err = 0.0
+    for _ in range(200):
+        w = random_step_graphon(rng, max_blocks=16)
+        a, b = graphon_densities(w), graphon_densities_brute(w)
+        max_err = max(max_err, max(abs(x - y) for x, y in
+                                   zip(a.profile + (a.d_e,), b.profile + (b.d_e,))))
+    results.append(_result("graphon fast = brute (oracle equivalence)",
+                           max_err <= 1e-15,
+                           f"200 random step graphons, B<=16, max error {max_err:.2e}"))
 
     ok = True
     for _ in range(50):

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from triprofile import (DomainError, Graph, InputFormatError, StepGraphon,
                         census_brute, census_fast, densities,
-                        graphon_densities, read_edge_list, read_step_graphon,
+                        graphon_densities, graphon_densities_brute,
+                        read_edge_list, read_step_graphon,
                         sample_w_random_graph, write_edge_list,
                         write_step_graphon)
 from triprofile import census
+from triprofile.cli import main
 from triprofile.census import (_forward_edges, _triangles_bitset,
                                _triangles_wedges)
 from triprofile.constructions import FamilySpec, realize
+from triprofile.verify import random_step_graphon
 
 
 def cycle(n):
@@ -81,6 +85,10 @@ class TestGraph:
     def test_rejects_too_many_vertices(self):
         with pytest.raises(DomainError, match="vertex count 67108865 too large"):
             Graph.from_edges(census._MAX_VERTICES + 1, [])
+
+    def test_complete_checks_vertex_count_first(self):
+        with pytest.raises(DomainError, match="vertex count 1099511627776 too large"):
+            Graph.complete(1 << 40)
 
     def test_complement(self):
         g = cycle(5)
@@ -272,6 +280,48 @@ class TestStepGraphon:
         with pytest.raises(DomainError):
             StepGraphon([1.0, -0.0], [[1, 0], [0, 0]])
 
+    SIZES_TEXT = "block sizes must be positive reals"
+    PROBS_TEXT = "block densities must lie in [0, 1]"
+    SQUARE_TEXT = "probs must be a square matrix matching sizes"
+    OK2 = [[0.0, 1.0], [1.0, 0.0]]
+
+    # texts recorded before the constructor was rewritten
+    @pytest.mark.parametrize("sizes,probs,text", [
+        ([], [], "a step graphon needs at least one block"),
+        ([1.0, 0.0], OK2, SIZES_TEXT),
+        ([1.0, -0.0], OK2, SIZES_TEXT),
+        ([1.5, -0.5], OK2, SIZES_TEXT),
+        ([1.0, math.nan], OK2, SIZES_TEXT),
+        ([1.0, math.inf], OK2, SIZES_TEXT),
+        ([1.0, -math.inf], OK2, SIZES_TEXT),
+        ([0.5, 0.5 + 2e-12], OK2, "block sizes must sum to 1 (got 1.000000000002)"),
+        ([0.5, 0.5], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], SQUARE_TEXT),
+        ([0.5, 0.5], [[0.0]], SQUARE_TEXT),
+        ([0.5, 0.5], [[0.0, math.nan], [math.nan, 0.0]], PROBS_TEXT),
+        ([0.5, 0.5], [[0.0, math.inf], [math.inf, 0.0]], PROBS_TEXT),
+        ([0.5, 0.5], [[0.0, -0.1], [-0.1, 0.0]], PROBS_TEXT),
+        ([0.5, 0.5], [[0.0, 1.1], [1.1, 0.0]], PROBS_TEXT),
+        ([0.5, 0.5], [[0.0, 0.5], [math.nextafter(0.5, 1), 0.0]],
+         "probs must be exactly symmetric"),
+    ])
+    def test_validation_messages(self, sizes, probs, text):
+        with pytest.raises(DomainError) as exc:
+            StepGraphon(sizes, probs)
+        assert str(exc.value) == text
+
+    def test_keeps_private_read_only_copies(self):
+        sizes = np.array([0.25, 0.75])
+        probs = np.array([[1.0, 0.5], [0.5, 0.0]])
+        w = StepGraphon(sizes, probs)
+        sizes[0] = 0.5
+        probs[:] = 0.0
+        assert w.sizes.tolist() == [0.25, 0.75]
+        assert w.probs.tolist() == [[1.0, 0.5], [0.5, 0.0]]
+        for arr in (w.sizes, w.probs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_constant_graphon_binomial(self):
         for p in (0.0, 0.2, 0.5, 0.77, 1.0):
             d = graphon_densities(StepGraphon([1.0], [[p]]))
@@ -328,6 +378,81 @@ class TestStepGraphon:
             # linear upper bound and quadratic lower bound at the limit
             assert d.d1 <= 3 * d.d3 + 0.375 + 1e-12
             assert d.d3 >= d.d_e * (2 * d.d_e - 1) - 1e-12
+
+
+def exact_profile(w) -> list:
+    """(d0, d1, d2, d3) as Fractions: the triple sum over ordered blocks."""
+    s = [Fraction(x) for x in w.sizes.tolist()]
+    P = [[Fraction(x) for x in row] for row in w.probs.tolist()]
+    out = [Fraction(0)] * 4
+    b = len(s)
+    for i in range(b):
+        for j in range(b):
+            for k in range(b):
+                wt = s[i] * s[j] * s[k]
+                x, y, z = P[i][j], P[j][k], P[i][k]
+                u, v, t = 1 - x, 1 - y, 1 - z
+                terms = (u * v * t, x * v * t + u * y * t + u * v * z,
+                         x * y * t + x * v * z + u * y * z, x * y * z)
+                out = [o + wt * e for o, e in zip(out, terms)]
+    return out
+
+
+def ulps_from(got: float, want: Fraction) -> Fraction:
+    """|got - want| in units of the last place of the float nearest want."""
+    if want == 0:
+        return Fraction(0) if got == 0 else Fraction(math.inf)
+    return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+
+
+class TestGraphonDensities:
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_within_4_ulp_of_fraction_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(260):
+            w = random_step_graphon(rng)
+            got = graphon_densities(w).profile
+            assert min(got) >= 0.0
+            for g, want in zip(got, exact_profile(w)):
+                assert ulps_from(g, want) <= 4, (w.sizes, w.probs)
+
+    @pytest.mark.parametrize("sizes,probs,want", [
+        ([0.5, 0.5], [[1, 0], [0, 1]], (0.0, 0.75, 0.0, 0.25)),
+        ([1 / 3] * 3, 1.0 - np.eye(3), (1 / 9, 0.0, 2 / 3, 2 / 9)),
+        ([1.0], [[0.0]], (1.0, 0.0, 0.0, 0.0)),
+        ([1.0], [[1.0]], (0.0, 0.0, 0.0, 1.0)),
+    ])
+    def test_zero_one_graphons_exact(self, sizes, probs, want):
+        got = graphon_densities(StepGraphon(sizes, probs)).profile
+        assert got == want
+        assert min(got) >= 0.0
+
+    def test_fast_equals_brute(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            w = random_step_graphon(rng, max_blocks=64)
+            a = graphon_densities(w)
+            b = graphon_densities_brute(w)
+            assert max(abs(x - y) for x, y in
+                       zip(a.profile + (a.d_e,), b.profile + (b.d_e,))) <= 1e-15
+
+    def test_many_blocks_in_quadratic_memory(self, tmp_path, capsys):
+        b = 512
+        w = StepGraphon([1 / b] * b, 1.0 - np.eye(b))
+        tracemalloc.start()
+        try:
+            d = graphon_densities(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the B^3 broadcast needs about 4 GB here
+        assert peak < 32 * 2 ** 20
+        assert d.profile == (1 / b ** 2, 0.0, 3 * (b - 1) / b ** 2,
+                             (b - 1) * (b - 2) / b ** 2)
+        path = tmp_path / "multipartite.json"
+        write_step_graphon(w, path)
+        assert main(["census", "--graphon", str(path)]) == 0
+        capsys.readouterr()
 
 
 def csr_sha256(g):

@@ -303,6 +303,7 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "oracle equivalence" in out
+        assert "PASS graphon fast = brute" in out
 
     def test_optimizer_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "optimizer")
