@@ -318,11 +318,21 @@ def _triangles_bitset(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
     flat = rows.reshape(-1)
     bits = np.uint64(1) << (v & 63).astype(np.uint64)
     np.bitwise_or.at(flat, u * words + (v >> 6), bits)
+    return _common_bits(rows, u, v)
+
+
+def _common_bits(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
+    """sum over e of popcount(rows[u[e]] & rows[v[e]]), in chunks.
+
+    With rows[w] the forward neighbours of w as a bitset and (u, v) the
+    forward edges, this is the triangle count.
+    """
+    words = rows.shape[1]
     # Row gathers go into two buffers reused across chunks: fresh chunk-sized
     # temporaries are faulted in anew whenever the allocator has returned
     # their pages, which made this loop's cost depend on earlier allocations.
     # At _GATHER_WORDS words (512 KB) each, the pair stays in cache.
-    chunk = min(u.size, max(1, _GATHER_WORDS // words))
+    chunk = max(1, min(u.size, _GATHER_WORDS // words))
     a_buf = np.empty((chunk, words), dtype=np.uint64)
     b_buf = np.empty_like(a_buf)
     total = 0
@@ -513,19 +523,27 @@ def graphon_densities(w: StepGraphon) -> DensityVector:
     return DensityVector(d0=qqq, d1=3 * qqp, d2=3 * ppq, d3=ppp, d_e=d_e)
 
 
-def _block_random_graph(blocks: np.ndarray, P: np.ndarray, rng) -> Graph:
-    """Graph on vertices 0..len(blocks)-1, vertex i in block ``blocks[i]``.
+def _sampled_rows(blocks: np.ndarray, P: np.ndarray, rng):
+    """Yield (i, hit) for each vertex i but the last, in order.
 
-    Each unordered pair {i, j} is joined when its uniform from ``rng`` is
-    below ``P[blocks[i], blocks[j]]``; one uniform per pair, drawn in
-    row-major order, so the output is fixed by the generator's state.
+    hit[k] says whether the pair {i, i+1+k} is joined: its uniform from
+    ``rng`` is below ``P[blocks[i], blocks[i+1+k]]``.  One uniform per
+    unordered pair, drawn in row-major order, so every seeded graph is
+    fixed by the generator's state and this draw order.
     """
+    n = blocks.size
+    for i in range(n - 1):
+        yield i, rng.random(n - 1 - i) < P[blocks[i], blocks[i + 1:]]
+
+
+def _block_random_graph(blocks: np.ndarray, P: np.ndarray, rng) -> Graph:
+    """Graph on vertices 0..len(blocks)-1, vertex i in block ``blocks[i]``,
+    with the pairs _sampled_rows joins."""
     n = blocks.size
     counts = np.zeros(n, dtype=np.int64)
     vs = []
-    for i in range(n - 1):
-        r = rng.random(n - 1 - i)
-        hit = np.nonzero(r < P[blocks[i], blocks[i + 1:]])[0]
+    for i, hit in _sampled_rows(blocks, P, rng):
+        hit = np.nonzero(hit)[0]
         counts[i] = hit.size
         vs.append(hit + (i + 1))
     edges = np.empty((int(counts.sum()), 2), dtype=np.int64)
@@ -535,16 +553,24 @@ def _block_random_graph(blocks: np.ndarray, P: np.ndarray, rng) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative (got {seed!r})")
+
+
 def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     """Sample an n-vertex graph from a step graphon, reproducibly.
 
     Uses numpy's default generator (PCG64) seeded with ``seed``: first n
     uniforms assign vertices to blocks by the cumulative size distribution,
     then one uniform per unordered pair (row-major order) decides each edge.
-    The output is deterministic given (w, n, seed).
+    The output is deterministic given (w, n, seed).  A negative seed, or n
+    above the vertex limit, raises DomainError before anything is drawn.
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
+    _check_vertex_count(n)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     cum = np.cumsum(w.sizes)
     blocks = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
@@ -597,7 +623,59 @@ class _Blowup:
         return Graph.from_edges(g.n + self.universal, np.concatenate(
             [np.column_stack([src[keep], dst[keep]]), joined]))
 
-    def census(self) -> TripleCensus:
+    def census(self, seed: int) -> tuple:
+        """(path, census of graph(seed)), in exact integers.
+
+        The path is "structure" for 0/1 densities below 2^63 vertices (see
+        _structure_census), "bitset" for sampled densities while the bitset
+        of n * ceil(n/64) words fits in _BITSET_MAX_BYTES (see
+        _bitset_census), and otherwise "graph": census_fast(graph(seed)).
+        Other than by the structure, a blow-up above the vertex limit raises
+        DomainError before anything is allocated.
+        """
+        n = sum(self.parts) + self.universal
+        if self.deterministic and n < 1 << 63:
+            return "structure", self._structure_census()
+        _check_vertex_count(n)
+        if n * ((n + 63) >> 6) * 8 <= _BITSET_MAX_BYTES:
+            return "bitset", self._bitset_census(seed)
+        return "graph", census_fast(self.graph(seed))
+
+    def _bitset_census(self, seed: int) -> TripleCensus:
+        """The census of graph(seed) from its upper-triangular bitset.
+
+        Row i holds the neighbours of vertex i above i, packed from the
+        pairs _sampled_rows joins, in the draw order of graph(seed); the
+        universal vertices' columns are set in every base row, and their own
+        rows are complete.  The edges (i, j), i < j, come in row order, and
+        each triangle i < j < k is counted once, at (i, j), by _common_bits.
+        """
+        base = sum(self.parts)
+        n = base + self.universal
+        words = (n + 63) >> 6
+        rows = np.zeros((n, words), dtype=np.uint64)
+        packed = rows.view(np.uint8)    # popcounts of ANDs ignore byte order
+        row = np.zeros(words * 64, dtype=bool)
+        row[base:n] = True
+        blocks = np.repeat(np.arange(len(self.parts)), self.parts)
+        sampled = _sampled_rows(blocks, self.probs, np.random.default_rng(seed))
+        counts = np.zeros(n, dtype=np.int64)
+        vs = []
+        for i in range(n - 1):
+            row[i] = False      # the columns below i+1 are clear from here on
+            if i < base - 1:
+                row[i + 1:base] = next(sampled)[1]
+            packed[i] = np.packbits(row, bitorder="little")
+            vs.append(np.nonzero(row)[0])
+            counts[i] = vs[-1].size
+        v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
+        del vs
+        u = np.repeat(np.arange(n, dtype=np.int64), counts)
+        deg = counts + np.bincount(v, minlength=n)
+        p2 = int((deg * (deg - 1) // 2).sum())
+        return _census(n, v.size, p2, _common_bits(rows, u, v))
+
+    def _structure_census(self) -> TripleCensus:
         """The census of a deterministic blow-up, in exact integers.
 
         With A the 0/1 block matrix, B its off-diagonal part, n_i the part

@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import boundary
-from .census import (Graph, StepGraphon, TripleCensus, _Blowup, census_fast,
-                     graphon_densities)
+from .census import (Graph, StepGraphon, TripleCensus, _Blowup, _check_seed,
+                     census_fast, graphon_densities)
 from .errors import DomainError
 
 __all__ = [
@@ -377,6 +377,8 @@ class FamilySpec:
             value = _check(name, self.params[key], lo, hi, hi_open=hi_open)
             if key in fam.flags and value not in (0.0, 1.0):
                 raise DomainError(f"{name} must be 0 or 1 (got {value!r})")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 def limit_graphon(spec: FamilySpec) -> StepGraphon:
@@ -400,16 +402,18 @@ def realize(spec: FamilySpec) -> Graph:
 def finite_census(spec: FamilySpec, graph: Optional[Graph] = None) -> TripleCensus:
     """Exact triple census of realize(spec).
 
-    When every block density is 0 or 1 it is computed from the part sizes
-    (see _Blowup.census), at any n, without a graph and independent of the
-    seed.  Otherwise it is census_fast of ``graph``, the caller's
-    realize(spec) if it holds one, or of a new realization.  The path taken
-    is logged at DEBUG on the "triprofile.constructions" logger.
+    When every block density is 0 or 1 it is computed from the part sizes,
+    at any n, without a graph and independent of the seed.  Otherwise it is
+    census_fast of ``graph`` when the caller holds realize(spec), or else
+    counted from the seeded pair draws, in a bitset while that fits and
+    from a new realization beyond (see _Blowup.census).  The path taken,
+    structure, bitset or graph, is logged at DEBUG on the
+    "triprofile.constructions" logger.
     """
     bl = _finite(spec)
-    structural = bl.deterministic and spec.n < 1 << 63
-    log.debug("finite census: family=%s n=%d path=%s", spec.family, spec.n,
-              "structure" if structural else "graph")
-    if structural:
-        return bl.census()
-    return census_fast(realize(spec) if graph is None else graph)
+    if graph is None or bl.deterministic:
+        path, census = bl.census(0 if spec.seed is None else spec.seed)
+    else:
+        path, census = "graph", census_fast(graph)
+    log.debug("finite census: family=%s n=%d path=%s", spec.family, spec.n, path)
+    return census

@@ -510,6 +510,21 @@ class TestSampling:
         want = (0.0, 0.75, 0.0, 0.25)
         assert max(abs(a - b) for a, b in zip(d.profile, want)) <= 0.02
 
+    def test_refuses_before_drawing(self):
+        # the vertex limit and the seed are checked before any uniform is
+        # drawn: n = 10**12 would need 7.3 TiB for its block uniforms alone
+        w = StepGraphon([1.0], [[0.5]])
+        tracemalloc.start()
+        try:
+            for n in (10 ** 12, (1 << 26) + 1):
+                with pytest.raises(DomainError, match=f"vertex count {n} too large"):
+                    sample_w_random_graph(w, n, 0)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(DomainError, match=r"seed must be nonnegative \(got -3\)"):
+            sample_w_random_graph(w, 10, -3)
+
     def test_finite_size_flag_inequality(self):
         rng = np.random.default_rng(17)
         for _ in range(20):

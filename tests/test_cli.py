@@ -224,6 +224,19 @@ class TestConstruct:
                        " (got 0.3)\n")
         assert not (tmp_path / "x.edges").exists()
 
+    @pytest.mark.parametrize("command", ["construct", "sweep"])
+    @pytest.mark.parametrize("x", ["0.03", "0.2"])
+    def test_negative_seed_exit_1(self, capsys, tmp_path, command, x):
+        # refused for the seeded regime and for the deterministic one alike
+        argv = {"construct": ["--param", f"x={x}", "--n", "100", "--seed", "-5",
+                              "--out", str(tmp_path / "x.edges")],
+                "sweep": ["--param-grid", f"x={x}", "--n-list", "100",
+                          "--seeds", "-5"]}[command]
+        code, out, err = run(capsys, command, "--family", "g0", *argv)
+        assert code == 1 and out == ""
+        assert err == "error: seed must be nonnegative (got -5)\n"
+        assert not (tmp_path / "x.edges").exists()
+
     def test_invalid_family_lists_ranges(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--family", "g0",
                            "--param", "x=0.9", "--n", "100",

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from triprofile import (FAMILIES, DomainError, FamilySpec, Graph, census_fast,
                         realize, s03_upper_bound, s12_graphon, s13_upper_bound,
                         s23_graphon, linked_cliques_cross_density,
                         linked_cliques_sigma_for_triangle)
+from triprofile import census as census_module
 
 
 def profile_pair(w):
@@ -347,6 +349,10 @@ class TestRealize:
             with pytest.raises(DomainError, match="complemented must"):
                 FamilySpec("clique-isolated", {"a": 0.5, "complemented": flag})
         FamilySpec("clique-isolated", {"a": 0.5, "complemented": 1})
+        # seeded or not, a negative seed is refused
+        for family, params in (("g0", {"x": 0.03}), ("g0", {"x": 0.2})):
+            with pytest.raises(DomainError, match=r"seed must be nonnegative \(got -1\)"):
+                FamilySpec(family, params, n=100, seed=-1)
 
 
 def census_outcome(census, spec):
@@ -373,7 +379,8 @@ DETERMINISTIC = (
     + [("min-triangle", {"de": de}) for de in (0.5, 0.6, 0.9)]
     + [("clique-isolated", {"a": a, "complemented": c}) for a in (0.2, 0.57) for c in (0, 1)])
 SEEDED = [("g0", {"x": 0.03}), ("g1", {"a": 0.3, "x": 0.03}),
-          ("g2", {"a": 0.3, "p": 0.6}), ("s12", {"a": 0.5, "p": 0.3})]
+          ("g2", {"a": 0.3, "p": 0.6}), ("s12", {"a": 0.5, "p": 0.3}),
+          ("g1", {"a": 0.7, "x": 0.03})]
 # one case of each deterministic regime at the largest size: the whole list
 # there would take about 40 s of graph building and counting
 LARGE = [("g0", {"x": -0.1}), ("g0", {"x": 0.08}), ("g0", {"x": 0.2}),
@@ -392,6 +399,24 @@ class TestFiniteCensus:
             spec = FamilySpec(family, params, n=n, seed=seed)
             assert (census_outcome(finite_census, spec)
                     == census_outcome(realized_census, spec))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("family,params", SEEDED)
+    def test_seeded_around_word_edges(self, family, params, n):
+        # the bitset rows are n bits padded to 64-bit words
+        for seed in (0, 1, 7):
+            spec = FamilySpec(family, params, n=n, seed=seed)
+            assert finite_census(spec) == realized_census(spec)
+
+    def test_graph_path_above_the_bitset_cap(self, monkeypatch, caplog):
+        spec = FamilySpec("g1", {"a": 0.3, "x": 0.03}, n=65, seed=5)
+        want = finite_census(spec)
+        monkeypatch.setattr(census_module, "_BITSET_MAX_BYTES", 0)
+        caplog.set_level(logging.DEBUG, logger="triprofile.constructions")
+        assert finite_census(spec) == want == realized_census(spec)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "triprofile.constructions"] == [
+            "finite census: family=g1 n=65 path=graph"]
 
     @pytest.mark.parametrize("family,params", DETERMINISTIC)
     def test_seed_independent_at_500(self, family, params):
@@ -412,7 +437,7 @@ class TestFiniteCensus:
         assert [r.getMessage() for r in caplog.records
                 if r.name == "triprofile.constructions"] == [
             "finite census: family=g1 n=100 path=structure",
-            "finite census: family=g0 n=100 path=graph"]
+            "finite census: family=g0 n=100 path=bitset"]
         assert capsys.readouterr() == ("", "")
 
     def test_given_graph_is_counted(self):
@@ -430,6 +455,14 @@ class TestFiniteCensus:
             realize(spec)
         with pytest.raises(DomainError, match="too large"):
             finite_census(FamilySpec("g0", {"x": 0.2}, n=1 << 63))
+        # nor is a sampled one counted: its bitset would need 2^49 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="too large"):
+                finite_census(FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=(1 << 26) + 1))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
