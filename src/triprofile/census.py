@@ -243,6 +243,11 @@ class DensityVector:
     def profile(self) -> tuple:
         return (self.d0, self.d1, self.d2, self.d3)
 
+    def max_deviation(self, other: "DensityVector") -> float:
+        """Largest absolute difference from other over d0..d3 and d_e."""
+        return max(abs(u - v) for u, v in zip(self.profile + (self.d_e,),
+                                              other.profile + (other.d_e,)))
+
 
 class StepGraphon:
     """Blockwise-constant symmetric kernel: block weights + density matrix.
@@ -608,7 +613,8 @@ class _Blowup:
     def graph(self, seed: int) -> Graph:
         """The graph.  Fractional densities are sampled by _block_random_graph
         (PCG64 from ``seed``); the universal vertices are joined afterwards,
-        so they draw nothing."""
+        so they draw nothing.  A negative seed raises DomainError."""
+        _check_seed(seed)
         sizes, A = self.blocks()
         _check_vertex_count(sum(sizes))
         if self.deterministic:

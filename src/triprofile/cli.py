@@ -14,7 +14,6 @@ import sys
 from . import boundary as bnd
 from . import constructions as cons
 from . import optimizer as opt
-from . import verify as ver
 from .census import (census_fast, densities, graphon_densities, read_edge_list,
                      read_step_graphon, write_edge_list)
 from .errors import DomainError, InputFormatError
@@ -112,8 +111,7 @@ def cmd_construct(args) -> int:
     write_edge_list(g, args.out)
     lim = graphon_densities(cons.limit_graphon(spec))
     fin = densities(cons.finite_census(spec, g))
-    dev = max(abs(u - v) for u, v in zip(fin.profile + (fin.d_e,),
-                                         lim.profile + (lim.d_e,)))
+    dev = fin.max_deviation(lim)
     summary = {
         "family": spec.family,
         "params": spec.params,
@@ -182,12 +180,10 @@ def cmd_sweep(args) -> int:
             for seed in seeds:
                 spec = cons.FamilySpec(args.family, params, n=n, seed=seed)
                 fin = densities(cons.finite_census(spec))
-                dev = max(abs(u - v) for u, v in
-                          zip(fin.profile + (fin.d_e,), lim.profile + (lim.d_e,)))
                 row = [args.family, label, str(n), str(seed)]
                 row += [_fmt(v) for v in fin.profile + (fin.d_e,)]
                 row += [_fmt(v) for v in lim.profile + (lim.d_e,)]
-                row.append(_fmt(dev))
+                row.append(_fmt(fin.max_deviation(lim)))
                 lines.append(",".join(row))
     payload = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
@@ -216,8 +212,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here so that the other subcommands do not load the checks
+    from .verify import run_suite
+
     try:
-        results = ver.run_suite(args.suite)
+        results = run_suite(args.suite)
     except KeyError:
         raise DomainError(
             f"unknown suite {args.suite!r}; valid: all, census, boundary, "
@@ -225,7 +224,7 @@ def cmd_verify(args) -> int:
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"{status} {r.name}: {r.detail}\n")
+        sys.stdout.write(f"{status} {r.name}: {r.detail} ({r.seconds:.2f} s)\n")
     if failed:
         sys.stderr.write(f"first failing invariant: {failed[0].name}\n")
         return 1

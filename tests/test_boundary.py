@@ -11,10 +11,11 @@ from triprofile import (DomainError, StepGraphon, edge_partition,
                         linked_cliques_cross_density, linked_cliques_profile,
                         linked_cliques_sigma_for_triangle, membership,
                         min_triangle_density, min_triangle_density_inverse,
-                        parse_region, s03_upper_bound, s13_upper_bound,
-                        s13_upper_piece, s13_upper_slope, sample_boundary,
-                        three_cliques_profile,
+                        parse_region, region_coords, s03_upper_bound,
+                        s13_upper_bound, s13_upper_piece, s13_upper_slope,
+                        sample_boundary, three_cliques_profile,
                         three_cliques_sigma_for_triangle)
+from triprofile.verify import random_step_graphon
 
 SQRT2 = math.sqrt(2.0)
 
@@ -450,14 +451,8 @@ class TestSoundness:
     def test_random_graphons_inside_every_region(self):
         rng = np.random.default_rng(29)
         for _ in range(400):
-            b = int(rng.integers(1, 5))
-            raw = rng.random(b) + 0.05
-            sizes = raw / raw.sum()
-            sizes[-1] = 1.0 - sizes[:-1].sum()
-            u = rng.random((b, b))
-            d = graphon_densities(StepGraphon(sizes, np.triu(u) + np.triu(u, 1).T))
-            for region, (x, y) in (("s03", (d.d0, d.d3)), ("s12", (d.d1, d.d2)),
-                                   ("s13", (d.d1, d.d3)), ("s23", (d.d2, d.d3))):
+            d = graphon_densities(random_step_graphon(rng))
+            for region, (x, y) in region_coords(d).items():
                 v = membership(region, x, y, 1e-9)
                 assert v.inside, (region, d.profile, v)
 
@@ -468,11 +463,6 @@ class TestSoundness:
                   s13_upper_bound(float(x)) - s13_upper_slope(float(x)) * float(x))
                  for x in xs]
         for _ in range(200):
-            b = int(rng.integers(1, 5))
-            raw = rng.random(b) + 0.05
-            sizes = raw / raw.sum()
-            sizes[-1] = 1.0 - sizes[:-1].sum()
-            u = rng.random((b, b))
-            d = graphon_densities(StepGraphon(sizes, np.triu(u) + np.triu(u, 1).T))
+            d = graphon_densities(random_step_graphon(rng))
             for slope, intercept in lines:
                 assert d.d1 - slope * d.d3 <= intercept + 1e-9

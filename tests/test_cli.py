@@ -1,7 +1,12 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import triprofile
 from triprofile.cli import main
 
 
@@ -322,8 +327,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "optimizer")
         assert code == 0
         assert "FAIL" not in out
+        # every check line ends with its elapsed seconds
+        assert all(re.search(r" \(\d+\.\d\d s\)$", ln) for ln in out.splitlines())
 
     def test_boundary_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "boundary")
         assert code == 0
         assert "breakpoints" in out
+
+    def test_other_subcommands_do_not_load_the_checks(self):
+        src = os.path.dirname(os.path.dirname(triprofile.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, triprofile.cli; print('triprofile.verify' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"

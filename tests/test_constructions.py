@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triprofile import (FAMILIES, DomainError, FamilySpec, Graph, census_fast,
+from triprofile import (FAMILIES, DomainError, FamilySpec, Graph, StepGraphon,
+                        blowup_graph, census_fast,
                         clique_plus_isolated_graphon, densities, finite_census,
                         g0_graph,
                         g0_graphon, g1_graph, g1_graphon, g1_profile,
@@ -326,8 +327,7 @@ class TestRealize:
             spec = FamilySpec(family, params, n=500, seed=1)
             d = densities(census_fast(realize(spec)))
             lim = graphon_densities(limit_graphon(spec))
-            dev = max(abs(u - v) for u, v in
-                      zip(d.profile + (d.d_e,), lim.profile + (lim.d_e,)))
+            dev = d.max_deviation(lim)
             assert dev <= 0.05, (family, params, dev)
 
     def test_determinism(self):
@@ -349,10 +349,18 @@ class TestRealize:
             with pytest.raises(DomainError, match="complemented must"):
                 FamilySpec("clique-isolated", {"a": 0.5, "complemented": flag})
         FamilySpec("clique-isolated", {"a": 0.5, "complemented": 1})
-        # seeded or not, a negative seed is refused
-        for family, params in (("g0", {"x": 0.03}), ("g0", {"x": 0.2})):
+        # seeded or not, a negative seed is refused, by the wrappers too
+        half, cliques = StepGraphon([1.0], [[0.5]]), StepGraphon([0.5, 0.5], np.eye(2))
+        for call in (lambda: FamilySpec("g0", {"x": 0.03}, n=100, seed=-1),
+                     lambda: FamilySpec("g0", {"x": 0.2}, n=100, seed=-1),
+                     lambda: g0_graph(0.03, 100, seed=-1),
+                     lambda: g0_graph(0.2, 100, seed=-1),
+                     lambda: g1_graph(0.3, 0.03, 100, seed=-1),
+                     lambda: g1_graph(0.3, 0.2, 100, seed=-1),
+                     lambda: blowup_graph(half, 100, seed=-1),
+                     lambda: blowup_graph(cliques, 100, seed=-1)):
             with pytest.raises(DomainError, match=r"seed must be nonnegative \(got -1\)"):
-                FamilySpec(family, params, n=100, seed=-1)
+                call()
 
 
 def census_outcome(census, spec):
