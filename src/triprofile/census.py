@@ -50,6 +50,24 @@ _BITSET_MAX_BYTES = 1 << 28
 _WEDGE_CHUNK = 1 << 20
 # Words in each of the bitset kernel's two row-gather buffers.
 _GATHER_WORDS = 1 << 16
+# Rows in each band of a blow-up's upper-triangular bitset that its kernels
+# unpack to float32 at once: O(_TILE * n) memory.  A tile product entry is at
+# most _TILE, so each masked row sum of the tile kernel is an integer of at
+# most _TILE * n < 2^24, exact in float32, within the bitset cap (n <= 46 336).
+_TILE = 256
+# Blow-up kernel choice: the tiles run when _TILE_COST * n^3/6 < m * words.
+# On one core of a 2-core Intel Xeon VM (numpy 2.4, OpenBLAS), on the seeded
+# g0, g1, g2 and s12 bitsets at n = 500-4000, a tile multiply-add cost
+# 26-130 ps and a band word-AND 3.2-17 ns, each with its unpacking; their
+# ratio, the break-even, read 0.0067-0.0111 (median 0.009).
+_TILE_COST = 0.009
+# A drawn graph's peak bytes per edge: tracemalloc gave 72 for
+# _block_random_graph and Graph.from_edges on g0, g2, s12 and a sampled
+# step graphon at n=3000, 84 with g1's universal vertices joined, and 66
+# for census_fast on the graph while it is held.
+_DRAW_BYTES_PER_EDGE = 84
+# A sampled graph whose predicted edges would need more is refused.
+_DRAW_MAX_BYTES = 1 << 32
 # Bytes of an edge-list body the fast parser checks at once: its masks and
 # token positions are O(chunk), beside the endpoint array itself.  At 256 KB
 # they stay in cache; 8 MB chunks parsed a 41 MB file 40% slower.
@@ -350,6 +368,72 @@ def _common_bits(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
     return total
 
 
+def _unpack(rows: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Rows i..i+_TILE-1 of a bitset from column j (a multiple of 8) on, as a
+    float32 0/1 matrix.  Column c of a row is bit c % 8 of its byte c // 8."""
+    band = rows[i:i + _TILE].view(np.uint8)[:, j >> 3:]
+    return np.unpackbits(band, axis=1, count=rows.shape[0] - j,
+                         bitorder="little").astype(np.float32)
+
+
+def _triangles_tiles(rows: np.ndarray) -> tuple:
+    """(triangles, column counts) of a strictly upper-triangular bitset.
+
+    With U its 0/1 matrix, the triangles i < j < k are sum(U o U.U).  Over
+    bands I <= J of _TILE rows, the float32 product U[I,J] @ U[J,J:] is
+    masked by U[I,J:] and summed per row, each row sum exact (see _TILE),
+    then added in float64.  About n^3/6 multiply-adds in BLAS, with bands
+    unpacked on the fly: O(_TILE * n) memory beside the bitset.
+    """
+    n = rows.shape[0]
+    assert _TILE * n < 1 << 24
+    t = 0
+    cols = np.zeros(n, dtype=np.int64)
+    for i in range(0, n, _TILE):
+        a = _unpack(rows, i, i)
+        cols[i:] += a.sum(axis=0).astype(np.int64)
+        for j in range(i, n, _TILE):
+            b = a if j == i else _unpack(rows, j, j)
+            prod = a[:, j - i:j - i + _TILE] @ b
+            t += int(np.einsum("ij,ij->i", a[:, j - i:], prod).sum(dtype=np.float64))
+    return t, cols
+
+
+def _triangles_bands(rows: np.ndarray) -> tuple:
+    """(triangles, column counts) of a strictly upper-triangular bitset, by
+    _common_bits over the edges of each band of _TILE rows in turn."""
+    n = rows.shape[0]
+    t = 0
+    cols = np.zeros(n, dtype=np.int64)
+    for i in range(0, n, _TILE):
+        a = _unpack(rows, i, i)
+        cols[i:] += a.sum(axis=0).astype(np.int64)
+        u, v = np.nonzero(a)
+        t += _common_bits(rows, u + i, v + i)
+    return t, cols
+
+
+def _upper_census(rows: np.ndarray) -> TripleCensus:
+    """The census of the graph whose strictly upper-triangular bitset is rows.
+
+    A vertex's degree is its row's popcount plus its column's count.  With
+    m edges and words = ceil(n/64), _triangles_bands does m * words
+    word-ANDs and _triangles_tiles about n^3/6 multiply-adds; the tiles run
+    when _TILE_COST * n^3/6 < m * words.  The choice is logged at DEBUG on
+    the "triprofile.census" logger.
+    """
+    n, words = rows.shape
+    fwd = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    m = int(fwd.sum())
+    tile_cost = _TILE_COST * n ** 3 / 6
+    use_tiles = tile_cost < m * words
+    log.debug("blow-up triangle count: n=%d m=%d tile_cost=%.4g bitset_words=%d kernel=%s",
+              n, m, tile_cost, m * words, "tiles" if use_tiles else "bitset")
+    t, cols = (_triangles_tiles if use_tiles else _triangles_bands)(rows)
+    deg = fwd + cols
+    return _census(n, m, int((deg * (deg - 1) // 2).sum()), t)
+
+
 def _triangles_wedges(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
     """Triangles of g from its forward edges (u, v) by checking wedges.
 
@@ -534,11 +618,15 @@ def _sampled_rows(blocks: np.ndarray, P: np.ndarray, rng):
     hit[k] says whether the pair {i, i+1+k} is joined: its uniform from
     ``rng`` is below ``P[blocks[i], blocks[i+1+k]]``.  One uniform per
     unordered pair, drawn in row-major order, so every seeded graph is
-    fixed by the generator's state and this draw order.
+    fixed by the generator's state and this draw order.  The threshold row
+    is gathered again only where blocks[i] changes: k times for k parts in
+    vertex order, so its memory is O(n).
     """
     n = blocks.size
     for i in range(n - 1):
-        yield i, rng.random(n - 1 - i) < P[blocks[i], blocks[i + 1:]]
+        if i == 0 or blocks[i] != blocks[i - 1]:
+            start, thresholds = i, P[blocks[i], blocks[i + 1:]]
+        yield i, rng.random(n - 1 - i) < thresholds[i - start:]
 
 
 def _block_random_graph(blocks: np.ndarray, P: np.ndarray, rng) -> Graph:
@@ -563,19 +651,32 @@ def _check_seed(seed) -> None:
         raise DomainError(f"seed must be nonnegative (got {seed!r})")
 
 
+def _check_draw_size(n: int, edges: float) -> None:
+    """Refuse, before drawing, a sampled graph whose predicted edge count
+    would take more than _DRAW_MAX_BYTES to draw and build."""
+    if edges * _DRAW_BYTES_PER_EDGE > _DRAW_MAX_BYTES:
+        raise DomainError(
+            f"sampled graph too large to draw: n={n} would have about {edges:.3g} "
+            f"edges ({edges * _DRAW_BYTES_PER_EDGE:.3g} bytes at {_DRAW_BYTES_PER_EDGE}"
+            f" an edge), over the {_DRAW_MAX_BYTES}-byte budget")
+
+
 def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     """Sample an n-vertex graph from a step graphon, reproducibly.
 
     Uses numpy's default generator (PCG64) seeded with ``seed``: first n
     uniforms assign vertices to blocks by the cumulative size distribution,
     then one uniform per unordered pair (row-major order) decides each edge.
-    The output is deterministic given (w, n, seed).  A negative seed, or n
-    above the vertex limit, raises DomainError before anything is drawn.
+    The output is deterministic given (w, n, seed).  A negative seed, n
+    above the vertex limit, or an expected d_e * C(n,2) edges beyond the
+    draw budget (see _check_draw_size) raises DomainError before anything
+    is drawn.
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
     _check_vertex_count(n)
     _check_seed(seed)
+    _check_draw_size(n, float(w.sizes @ w.probs @ w.sizes) * math.comb(n, 2))
     rng = np.random.default_rng(seed)
     cum = np.cumsum(w.sizes)
     blocks = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
@@ -613,12 +714,20 @@ class _Blowup:
     def graph(self, seed: int) -> Graph:
         """The graph.  Fractional densities are sampled by _block_random_graph
         (PCG64 from ``seed``); the universal vertices are joined afterwards,
-        so they draw nothing.  A negative seed raises DomainError."""
+        so they draw nothing.  A negative seed raises DomainError, and so
+        does a sampled graph whose predicted edges, the mean plus 6 standard
+        deviations from the part sizes, exceed the draw budget (see
+        _check_draw_size), before anything is drawn."""
         _check_seed(seed)
         sizes, A = self.blocks()
-        _check_vertex_count(sum(sizes))
+        n = sum(sizes)
+        _check_vertex_count(n)
         if self.deterministic:
-            return Graph.from_edges(sum(sizes), _block_edges(sizes, A, self.link))
+            return Graph.from_edges(n, _block_edges(sizes, A, self.link))
+        nv = np.array(sizes, dtype=float)
+        pairs = (np.outer(nv, nv) - np.diag(nv)) / 2
+        _check_draw_size(n, float((pairs * A).sum())
+                         + 6 * math.sqrt(float((pairs * A * (1 - A)).sum())))
         blocks = np.repeat(np.arange(len(self.parts)), self.parts)
         g = _block_random_graph(blocks, self.probs, np.random.default_rng(seed))
         if not self.universal:
@@ -634,8 +743,8 @@ class _Blowup:
 
         The path is "structure" for 0/1 densities below 2^63 vertices (see
         _structure_census), "bitset" for sampled densities while the bitset
-        of n * ceil(n/64) words fits in _BITSET_MAX_BYTES (see
-        _bitset_census), and otherwise "graph": census_fast(graph(seed)).
+        of n * ceil(n/64) words fits in _BITSET_MAX_BYTES (_upper_census of
+        bitset(seed)), and otherwise "graph": census_fast(graph(seed)).
         Other than by the structure, a blow-up above the vertex limit raises
         DomainError before anything is allocated.
         """
@@ -644,42 +753,32 @@ class _Blowup:
             return "structure", self._structure_census()
         _check_vertex_count(n)
         if n * ((n + 63) >> 6) * 8 <= _BITSET_MAX_BYTES:
-            return "bitset", self._bitset_census(seed)
+            return "bitset", _upper_census(self.bitset(seed))
         return "graph", census_fast(self.graph(seed))
 
-    def _bitset_census(self, seed: int) -> TripleCensus:
-        """The census of graph(seed) from its upper-triangular bitset.
+    def bitset(self, seed: int) -> np.ndarray:
+        """The upper-triangular bitset of graph(seed), n * ceil(n/64) words.
 
         Row i holds the neighbours of vertex i above i, packed from the
         pairs _sampled_rows joins, in the draw order of graph(seed); the
         universal vertices' columns are set in every base row, and their own
-        rows are complete.  The edges (i, j), i < j, come in row order, and
-        each triangle i < j < k is counted once, at (i, j), by _common_bits.
+        rows are complete.  No edge list is kept.
         """
         base = sum(self.parts)
         n = base + self.universal
         words = (n + 63) >> 6
         rows = np.zeros((n, words), dtype=np.uint64)
-        packed = rows.view(np.uint8)    # popcounts of ANDs ignore byte order
+        packed = rows.view(np.uint8)    # column c is bit c % 8 of byte c // 8
         row = np.zeros(words * 64, dtype=bool)
         row[base:n] = True
         blocks = np.repeat(np.arange(len(self.parts)), self.parts)
         sampled = _sampled_rows(blocks, self.probs, np.random.default_rng(seed))
-        counts = np.zeros(n, dtype=np.int64)
-        vs = []
         for i in range(n - 1):
             row[i] = False      # the columns below i+1 are clear from here on
             if i < base - 1:
                 row[i + 1:base] = next(sampled)[1]
             packed[i] = np.packbits(row, bitorder="little")
-            vs.append(np.nonzero(row)[0])
-            counts[i] = vs[-1].size
-        v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-        del vs
-        u = np.repeat(np.arange(n, dtype=np.int64), counts)
-        deg = counts + np.bincount(v, minlength=n)
-        p2 = int((deg * (deg - 1) // 2).sum())
-        return _census(n, v.size, p2, _common_bits(rows, u, v))
+        return rows
 
     def _structure_census(self) -> TripleCensus:
         """The census of a deterministic blow-up, in exact integers.

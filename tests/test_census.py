@@ -17,7 +17,8 @@ from triprofile import (DomainError, Graph, InputFormatError, StepGraphon,
                         write_step_graphon)
 from triprofile import census
 from triprofile.cli import main
-from triprofile.census import (_forward_edges, _triangles_bitset,
+from triprofile.census import (_common_bits, _forward_edges, _triangles_bands,
+                               _triangles_bitset, _triangles_tiles,
                                _triangles_wedges)
 from triprofile.constructions import FamilySpec, realize
 from triprofile.verify import random_step_graphon
@@ -244,6 +245,56 @@ class TestTriangleKernels:
         assert chosen and g.m == 200000
         assert c.c3 == n * math.comb(r, 2)
         assert peak < 24 * 2 ** 20
+
+
+def upper_bitset(rng, n, p):
+    """(bitset, 0/1 matrix) of a random strictly upper-triangular matrix
+    with pair density p, packed as the blow-up census packs its rows."""
+    U = np.triu(rng.random((n, n)) < p, 1)
+    rows = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
+    rows.view(np.uint8)[:, :(n + 7) >> 3] = np.packbits(U, axis=1, bitorder="little")
+    return rows, U
+
+
+BLOWUP_KERNELS = pytest.mark.parametrize("kernel", [_triangles_tiles, _triangles_bands])
+
+
+class TestBlowupKernels:
+    """The seeded blow-up census's two kernels over upper-triangular
+    bitsets, called directly, with rows around the 64-bit words and the
+    256-row bands."""
+
+    @BLOWUP_KERNELS
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 255, 256, 257, 513])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_equals_oracles(self, kernel, n, p):
+        rows, U = upper_bitset(np.random.default_rng(n), n, p)
+        u, v = np.nonzero(U)
+        if p < 1:
+            g = Graph.from_edges(n, np.column_stack([u, v]))
+            # the brute census takes 3.4 s at n=513
+            want = census_fast(g).c3 if n > 257 else census_brute(g).c3 if n >= 3 else 0
+        else:
+            want = math.comb(n, 3)
+        t, cols = kernel(rows)
+        assert t == _common_bits(rows, u, v) == want
+        assert cols.tolist() == U.sum(axis=0).tolist()
+
+    def test_complete_above_float32_integers(self):
+        # C(2000,3) = 1 331 334 000 is far above 2^24: the tile sums must not
+        # be taken in float32 beyond one row
+        rows, _ = upper_bitset(np.random.default_rng(0), 2000, 1.0)
+        t, cols = _triangles_tiles(rows)
+        assert t == math.comb(2000, 3) == 1331334000
+        assert cols.tolist() == list(range(2000))
+
+    def test_tile_sums_exact_up_to_the_bitset_cap(self):
+        # every masked row sum is at most _TILE * n, exact in float32 below 2^24
+        n = math.isqrt(census._BITSET_MAX_BYTES // 8 * 64)
+        while n * ((n + 63) >> 6) * 8 > census._BITSET_MAX_BYTES:
+            n -= 1
+        assert (n + 1) * ((n + 64) >> 6) * 8 > census._BITSET_MAX_BYTES
+        assert census._TILE * n < 1 << 24
 
 
 class TestDensities:
@@ -521,6 +572,19 @@ class TestSampling:
             tracemalloc.stop()
         with pytest.raises(DomainError, match=r"seed must be nonnegative \(got -3\)"):
             sample_w_random_graph(w, 10, -3)
+
+    def test_refuses_too_many_edges_before_drawing(self):
+        # d_e * C(50000, 2) = 6.25e8 edges at 84 bytes each is 52 GB
+        w = StepGraphon([1.0], [[0.5]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=(
+                    r"too large to draw: n=50000 would have about 6\.25e\+08 edges"
+                    r" \(5\.25e\+10 bytes at 84 an edge\), over the 4294967296-byte")):
+                sample_w_random_graph(w, 50000, 0)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_finite_size_flag_inequality(self):
         rng = np.random.default_rng(17)

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,6 +292,28 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "--seeds is not a list of integers: 'abc'" in err
+
+    def test_sampled_graph_too_large_exit_1(self):
+        # above the bitset cap a sampled census draws a graph: n=50000 at
+        # density 0.54 would take about 56 GB, refused before any draw even
+        # under a 3 GB address-space limit
+        src = os.path.dirname(os.path.dirname(triprofile.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "triprofile.cli", "sweep", "--family", "g2",
+             "--param-grid", "a=0.3", "--param-grid", "p=0.6", "--n-list", "50000"],
+            env=env, preexec_fn=limit, timeout=60, capture_output=True, text=True)
+        assert time.perf_counter() - start < 10
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            "error: sampled graph too large to draw: n=50000 would have about "
+            "6.73e+08 edges (5.65e+10 bytes at 84 an edge), over the "
+            "4294967296-byte budget\n")
 
 
 class TestOptimize:

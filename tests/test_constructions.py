@@ -1,5 +1,4 @@
 import logging
-import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +10,7 @@ from triprofile import (FAMILIES, DomainError, FamilySpec, Graph, StepGraphon,
                         blowup_graph, census_fast,
                         clique_plus_isolated_graphon, densities, finite_census,
                         g0_graph,
-                        g0_graphon, g1_graph, g1_graphon, g1_profile,
+                        g0_graphon, g1_graph, g1_profile,
                         g2_graphon, g2_profile, graphon_densities,
                         limit_graphon, membership, min_triangle_density,
                         min_triangle_density_inverse, min_triangle_graphon,
@@ -447,6 +446,73 @@ class TestFiniteCensus:
             "finite census: family=g1 n=100 path=structure",
             "finite census: family=g0 n=100 path=bitset"]
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    @pytest.mark.parametrize("family,params", SEEDED)
+    def test_both_kernels_around_the_band_edges(self, family, params, n):
+        # the kernels unpack the bitset in bands of 256 rows
+        spec = FamilySpec(family, params, n=n, seed=3)
+        g = realize(spec)
+        rows = FAMILIES[family].blowup(n, **params).bitset(3)
+        fwd = np.bitwise_count(rows).sum(axis=1)
+        for kernel in (census_module._triangles_tiles, census_module._triangles_bands):
+            t, cols = kernel(rows)
+            assert t == census_fast(g).c3
+            assert (fwd + cols).tolist() == g.degrees.tolist()
+        assert finite_census(spec) == census_fast(g)
+
+    def test_kernel_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="triprofile.census")
+        dense = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=300, seed=1)
+        sparse = FamilySpec("g2", {"a": 0.0, "p": 0.97}, n=300, seed=1)
+        for spec in (dense, sparse):
+            assert finite_census(spec) == realized_census(spec)
+        ms = [realize(spec).m for spec in (dense, sparse)]
+        assert [r.getMessage() for r in caplog.records if r.name == "triprofile.census"
+                and r.getMessage().startswith("blow-up")] == [
+            f"blow-up triangle count: n=300 m={ms[0]} tile_cost=4.05e+04 "
+            f"bitset_words={5 * ms[0]} kernel=tiles",
+            f"blow-up triangle count: n=300 m={ms[1]} tile_cost=4.05e+04 "
+            f"bitset_words={5 * ms[1]} kernel=bitset"]
+
+    def test_bitset_memory(self):
+        # the bitset is 2 MB; with the edges kept as int64 arrays beside it,
+        # this census peaked at 69.5 MB
+        spec = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=4000, seed=1)
+        tracemalloc.start()
+        try:
+            finite_census(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
+    def test_draw_budget(self, monkeypatch):
+        # s12 a=0.5 p=0.3 at n=100: 2450 pairs inside the parts at 0.3, 2500
+        # across at 0.7, so 2485 edges expected, standard deviation
+        # sqrt(4950 * 0.21), and 2678.4 predicted with 6 deviations
+        spec = FamilySpec("s12", {"a": 0.5, "p": 0.3}, n=100, seed=0)
+        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * 2679)
+        g = realize(spec)
+        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * 2678)
+        with pytest.raises(DomainError, match=r"n=100 would have about 2\.68e\+03 edges"):
+            realize(spec)
+        # the bitset path draws no graph, so no budget holds it back
+        assert finite_census(spec) == census_fast(g)
+        # a 0/1 structure draws nothing, so it is built whatever the budget
+        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 0)
+        assert realize(FamilySpec("g0", {"x": 0.2}, n=100)).m > 0
+
+    def test_sampled_graph_too_large_refused(self):
+        spec = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=50000, seed=1)
+        tracemalloc.start()
+        try:
+            for census in (finite_census, realized_census):
+                with pytest.raises(DomainError, match="n=50000 would have about 6.73e"):
+                    census(spec)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_given_graph_is_counted(self):
         spec = FamilySpec("s12", {"a": 0.5, "p": 0.3}, n=60, seed=4)
