@@ -50,24 +50,21 @@ _BITSET_MAX_BYTES = 1 << 28
 _WEDGE_CHUNK = 1 << 20
 # Words in each of the bitset kernel's two row-gather buffers.
 _GATHER_WORDS = 1 << 16
-# Rows in each band of a blow-up's upper-triangular bitset that its kernels
-# unpack to float32 at once: O(_TILE * n) memory.  A tile product entry is at
-# most _TILE, so each masked row sum of the tile kernel is an integer of at
-# most _TILE * n < 2^24, exact in float32, within the bitset cap (n <= 46 336).
+# Rows in each band of a blow-up's upper-triangular bitset that the tile
+# kernel unpacks to float32 at once: O(_TILE * n) memory.  A tile product
+# entry is at most _TILE, so each masked row sum is an integer of at most
+# _TILE * n < 2^24, exact in float32, within the bitset cap (n <= 46 336).
 _TILE = 256
-# Blow-up kernel choice: the tiles run when _TILE_COST * n^3/6 < m * words.
-# On one core of a 2-core Intel Xeon VM (numpy 2.4, OpenBLAS), on the seeded
-# g0, g1, g2 and s12 bitsets at n = 500-4000, a tile multiply-add cost
-# 26-130 ps and a band word-AND 3.2-17 ns, each with its unpacking; their
-# ratio, the break-even, read 0.0067-0.0111 (median 0.009).
-_TILE_COST = 0.009
 # A drawn graph's peak bytes per edge: tracemalloc gave 72 for
 # _block_random_graph and Graph.from_edges on g0, g2, s12 and a sampled
 # step graphon at n=3000, 84 with g1's universal vertices joined, and 66
 # for census_fast on the graph while it is held.
 _DRAW_BYTES_PER_EDGE = 84
-# A sampled graph whose predicted edges would need more is refused.
-_DRAW_MAX_BYTES = 1 << 32
+# A sampled graph whose predicted edges would need more is refused: twice
+# the memory of an 8 GB machine.  A refused graph would peak above 14 GiB
+# even at the 72 bytes an edge of the lightest draw, so no graph such a
+# machine could build is refused.
+_DRAW_MAX_BYTES = 1 << 34
 # Bytes of an edge-list body the fast parser checks at once: its masks and
 # token positions are O(chunk), beside the endpoint array itself.  At 256 KB
 # they stay in cache; 8 MB chunks parsed a 41 MB file 40% slower.
@@ -368,11 +365,11 @@ def _common_bits(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
     return total
 
 
-def _unpack(rows: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Rows i..i+_TILE-1 of a bitset from column j (a multiple of 8) on, as a
+def _unpack(rows: np.ndarray, i: int) -> np.ndarray:
+    """Rows i..i+_TILE-1 of a bitset from column i (a multiple of 8) on, as a
     float32 0/1 matrix.  Column c of a row is bit c % 8 of its byte c // 8."""
-    band = rows[i:i + _TILE].view(np.uint8)[:, j >> 3:]
-    return np.unpackbits(band, axis=1, count=rows.shape[0] - j,
+    band = rows[i:i + _TILE].view(np.uint8)[:, i >> 3:]
+    return np.unpackbits(band, axis=1, count=rows.shape[0] - i,
                          bitorder="little").astype(np.float32)
 
 
@@ -390,48 +387,26 @@ def _triangles_tiles(rows: np.ndarray) -> tuple:
     t = 0
     cols = np.zeros(n, dtype=np.int64)
     for i in range(0, n, _TILE):
-        a = _unpack(rows, i, i)
+        a = _unpack(rows, i)
         cols[i:] += a.sum(axis=0).astype(np.int64)
         for j in range(i, n, _TILE):
-            b = a if j == i else _unpack(rows, j, j)
+            b = a if j == i else _unpack(rows, j)
             prod = a[:, j - i:j - i + _TILE] @ b
             t += int(np.einsum("ij,ij->i", a[:, j - i:], prod).sum(dtype=np.float64))
-    return t, cols
-
-
-def _triangles_bands(rows: np.ndarray) -> tuple:
-    """(triangles, column counts) of a strictly upper-triangular bitset, by
-    _common_bits over the edges of each band of _TILE rows in turn."""
-    n = rows.shape[0]
-    t = 0
-    cols = np.zeros(n, dtype=np.int64)
-    for i in range(0, n, _TILE):
-        a = _unpack(rows, i, i)
-        cols[i:] += a.sum(axis=0).astype(np.int64)
-        u, v = np.nonzero(a)
-        t += _common_bits(rows, u + i, v + i)
     return t, cols
 
 
 def _upper_census(rows: np.ndarray) -> TripleCensus:
     """The census of the graph whose strictly upper-triangular bitset is rows.
 
-    A vertex's degree is its row's popcount plus its column's count.  With
-    m edges and words = ceil(n/64), _triangles_bands does m * words
-    word-ANDs and _triangles_tiles about n^3/6 multiply-adds; the tiles run
-    when _TILE_COST * n^3/6 < m * words.  The choice is logged at DEBUG on
-    the "triprofile.census" logger.
+    A vertex's degree is its row's popcount plus its column's count; the
+    triangles and column counts come from _triangles_tiles.
     """
-    n, words = rows.shape
+    n = rows.shape[0]
     fwd = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-    m = int(fwd.sum())
-    tile_cost = _TILE_COST * n ** 3 / 6
-    use_tiles = tile_cost < m * words
-    log.debug("blow-up triangle count: n=%d m=%d tile_cost=%.4g bitset_words=%d kernel=%s",
-              n, m, tile_cost, m * words, "tiles" if use_tiles else "bitset")
-    t, cols = (_triangles_tiles if use_tiles else _triangles_bands)(rows)
+    t, cols = _triangles_tiles(rows)
     deg = fwd + cols
-    return _census(n, m, int((deg * (deg - 1) // 2).sum()), t)
+    return _census(n, int(fwd.sum()), int((deg * (deg - 1) // 2).sum()), t)
 
 
 def _triangles_wedges(g: Graph, u: np.ndarray, v: np.ndarray) -> int:

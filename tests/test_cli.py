@@ -313,7 +313,7 @@ class TestSweep:
         assert done.stderr == (
             "error: sampled graph too large to draw: n=50000 would have about "
             "6.73e+08 edges (5.65e+10 bytes at 84 an edge), over the "
-            "4294967296-byte budget\n")
+            "17179869184-byte budget\n")
 
 
 class TestOptimize:

@@ -449,31 +449,19 @@ class TestFiniteCensus:
 
     @pytest.mark.parametrize("n", [255, 256, 257])
     @pytest.mark.parametrize("family,params", SEEDED)
-    def test_both_kernels_around_the_band_edges(self, family, params, n):
-        # the kernels unpack the bitset in bands of 256 rows
+    def test_tiles_around_the_band_edges(self, family, params, n):
+        # the tile kernel unpacks the bitset in bands of 256 rows; the
+        # AND/popcount kernel over the bitset's edges is its oracle
         spec = FamilySpec(family, params, n=n, seed=3)
         g = realize(spec)
         rows = FAMILIES[family].blowup(n, **params).bitset(3)
         fwd = np.bitwise_count(rows).sum(axis=1)
-        for kernel in (census_module._triangles_tiles, census_module._triangles_bands):
-            t, cols = kernel(rows)
-            assert t == census_fast(g).c3
-            assert (fwd + cols).tolist() == g.degrees.tolist()
+        u, v = np.nonzero(np.unpackbits(rows.view(np.uint8), axis=1, count=n,
+                                        bitorder="little"))
+        t, cols = census_module._triangles_tiles(rows)
+        assert t == census_module._common_bits(rows, u, v) == census_fast(g).c3
+        assert (fwd + cols).tolist() == g.degrees.tolist()
         assert finite_census(spec) == census_fast(g)
-
-    def test_kernel_logged(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="triprofile.census")
-        dense = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=300, seed=1)
-        sparse = FamilySpec("g2", {"a": 0.0, "p": 0.97}, n=300, seed=1)
-        for spec in (dense, sparse):
-            assert finite_census(spec) == realized_census(spec)
-        ms = [realize(spec).m for spec in (dense, sparse)]
-        assert [r.getMessage() for r in caplog.records if r.name == "triprofile.census"
-                and r.getMessage().startswith("blow-up")] == [
-            f"blow-up triangle count: n=300 m={ms[0]} tile_cost=4.05e+04 "
-            f"bitset_words={5 * ms[0]} kernel=tiles",
-            f"blow-up triangle count: n=300 m={ms[1]} tile_cost=4.05e+04 "
-            f"bitset_words={5 * ms[1]} kernel=bitset"]
 
     def test_bitset_memory(self):
         # the bitset is 2 MB; with the edges kept as int64 arrays beside it,
@@ -502,6 +490,22 @@ class TestFiniteCensus:
         # a 0/1 structure draws nothing, so it is built whatever the budget
         monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 0)
         assert realize(FamilySpec("g0", {"x": 0.2}, n=100)).m > 0
+
+    @pytest.mark.parametrize("n,refused", [(14000, False), (27570, False), (27571, True)])
+    def test_draw_budget_sizes(self, monkeypatch, n, refused):
+        # g2 a=0.3 p=0.6 at n=14000 peaks near 3.8 GB, within an 8 GB
+        # machine, and is drawn; it is refused from n=27571, which would
+        # peak above 14 GB
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(census_module, "_block_random_graph", draw)
+        spec = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=n, seed=1)
+        with pytest.raises(DomainError if refused else Drawn):
+            realize(spec)
 
     def test_sampled_graph_too_large_refused(self):
         spec = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=50000, seed=1)
