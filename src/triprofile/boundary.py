@@ -112,14 +112,11 @@ class CurveParams:
 
     ``k``/``z`` describe the complete multipartite structure minimizing the
     triangle density at a given edge density (k-1 equal parts and one part
-    of weight z in (0, 1/k]); ``sigma`` is the clique-structure parameter of
-    the S13 curves; ``isolated_mass`` is the root used by the S03 bound.
+    of weight z in (0, 1/k]).
     """
 
     k: Optional[int] = None
     z: Optional[float] = None
-    sigma: Optional[float] = None
-    isolated_mass: Optional[float] = None
 
 
 def _solve(f: Callable[[float], float], df: Callable[[float], float],
@@ -165,10 +162,13 @@ def _solve(f: Callable[[float], float], df: Callable[[float], float],
     return 0.5 * (lo + hi)
 
 
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
+def _check_range(name: str, value: float, lo: float, hi: float,
+                 hi_open: bool = False) -> float:
     value = float(value)
-    if not math.isfinite(value) or not (lo <= value <= hi):
-        raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}] (got {value!r})")
+    ok = math.isfinite(value) and lo <= value and (value < hi if hi_open else value <= hi)
+    if not ok:
+        right = ")" if hi_open else "]"
+        raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}{right} (got {value!r})")
     return value
 
 
@@ -407,6 +407,16 @@ def _isolated_mass(d0: float) -> float:
                   0.0, 0.5, d0, start)
 
 
+def _clique_branch(d0: float) -> float:
+    """(1-a)^3, a the isolated mass solving 3a^2 - 2a^3 = d0."""
+    return (1.0 - isolated_mass_for_cotriangle(d0)) ** 3
+
+
+def _coclique_branch(d0: float) -> float:
+    """(1-c)^3 + 3c(1-c)^2 with c = d0^(1/3)."""
+    return (1.0 - (c := d0 ** (1.0 / 3.0))) ** 3 + 3.0 * c * (1.0 - c) ** 2
+
+
 def s03_upper_bound(d0: float) -> float:
     """Maximum triangle density at co-triangle density d0 (the S03 upper curve).
 
@@ -417,11 +427,7 @@ def s03_upper_bound(d0: float) -> float:
     located numerically only.
     """
     d0 = _check_range("co-triangle density", d0, 0.0, 1.0)
-    c = d0 ** (1.0 / 3.0)
-    from_complement = (1.0 - c) ** 3 + 3.0 * c * (1.0 - c) ** 2
-    a = isolated_mass_for_cotriangle(d0)
-    from_clique = (1.0 - a) ** 3
-    return max(from_complement, from_clique)
+    return max(_coclique_branch(d0), _clique_branch(d0))
 
 
 def _clamp01(v: float) -> float:
@@ -485,9 +491,7 @@ def membership(region, x: float, y: float, tol: float = 1e-9) -> MembershipVerdi
 def _s03_crossover() -> float:
     """Co-triangle density where the two S03 upper branches cross."""
     def diff(d0):
-        a = isolated_mass_for_cotriangle(d0)
-        c = d0 ** (1.0 / 3.0)
-        return (1.0 - a) ** 3 - ((1.0 - c) ** 3 + 3.0 * c * (1.0 - c) ** 2)
+        return _clique_branch(d0) - _coclique_branch(d0)
 
     def slope(d0):
         # da/dd0 = 1/(6a(1-a)) and dc/dd0 = 1/(3c^2)
@@ -541,11 +545,8 @@ def sample_boundary(region, count: int) -> list:
         seg("d3=0", 0.25, 0.0, 1.0, 0.0)
         cross = _s03_crossover()
         for d0 in _grid(1.0, cross, count):
-            a = isolated_mass_for_cotriangle(d0)
-            rows.append((d0, d0, (1.0 - a) ** 3, "upper-clique"))
+            rows.append((d0, d0, _clique_branch(d0), "upper-clique"))
         for d0 in _grid(cross, 0.0, count):
-            c = d0 ** (1.0 / 3.0)
-            rows.append((d0, d0, (1.0 - c) ** 3 + 3.0 * c * (1.0 - c) ** 2,
-                         "upper-coclique"))
+            rows.append((d0, d0, _coclique_branch(d0), "upper-coclique"))
         seg("d0=0", 0.0, 1.0, 0.0, 0.25)
     return rows

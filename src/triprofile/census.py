@@ -9,7 +9,6 @@ as the limit of sampling three independent points.
 """
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
@@ -55,15 +54,14 @@ _GATHER_WORDS = 1 << 16
 # entry is at most _TILE, so each masked row sum is an integer of at most
 # _TILE * n < 2^24, exact in float32, within the bitset cap (n <= 46 336).
 _TILE = 256
-# A drawn graph's peak bytes per edge: tracemalloc gave 72 for
-# _block_random_graph and Graph.from_edges on g0, g2, s12 and a sampled
-# step graphon at n=3000, 84 with g1's universal vertices joined, and 66
-# for census_fast on the graph while it is held.
+# Bytes an edge is charged against _DRAW_MAX_BYTES.  tracemalloc gave a
+# peak of 64 for building every family's graph at n=3000 and 6000
+# (_sampled_edges or _block_edges, then Graph.from_edges) and 66 for
+# census_fast on the graph while it is held; 84 stays above both.
 _DRAW_BYTES_PER_EDGE = 84
-# A sampled graph whose predicted edges would need more is refused: twice
-# the memory of an 8 GB machine.  A refused graph would peak above 14 GiB
-# even at the 72 bytes an edge of the lightest draw, so no graph such a
-# machine could build is refused.
+# A graph whose edges would need more is refused: twice the memory of an
+# 8 GB machine.  A refused graph would peak above 12 GiB at 64 bytes an
+# edge, so no graph such a machine could build is refused.
 _DRAW_MAX_BYTES = 1 << 34
 # Bytes of an edge-list body the fast parser checks at once: its masks and
 # token positions are O(chunk), beside the endpoint array itself.  At 256 KB
@@ -74,7 +72,7 @@ _MAX_DIGITS = 18
 # Most vertices a Graph may have: an edgeless graph costs about 32 bytes per
 # vertex, so about 2.2 GB at the limit, and the keys u*n + v stay below 2^52.
 _MAX_VERTICES = 1 << 26
-# One line as file iteration in text mode splits it: at \n, \r or \r\n.
+# One line, ended at \n, \r or \r\n as universal newlines end one.
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)?")
 _EOL = re.compile(rb"[\r\n]")
 
@@ -158,11 +156,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self._nbrs[self._indptr[v]:self._indptr[v + 1]]
 
-    @property
-    def adjacency(self) -> list:
-        """Per-vertex sorted neighbor lists."""
-        return [self.neighbors(v) for v in range(self.n)]
-
     def directed_edges(self) -> tuple:
         """Both orientations of every edge as (sources, destinations)."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
@@ -173,11 +166,6 @@ class Graph:
         src, dst = self.directed_edges()
         keep = src < dst
         return zip(src[keep].tolist(), dst[keep].tolist())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < nb.size and nb[i] == v
 
     def complement(self) -> "Graph":
         n = self.n
@@ -301,10 +289,6 @@ class StepGraphon:
 
     def complement(self) -> "StepGraphon":
         return StepGraphon(self.sizes, 1.0 - self.probs)
-
-    def block_degrees(self) -> np.ndarray:
-        """Degree of a point in each block: D_i = sum_j s_j P_ij."""
-        return self.probs @ self.sizes
 
     def __repr__(self):
         return f"StepGraphon(blocks={self.num_blocks})"
@@ -604,9 +588,9 @@ def _sampled_rows(blocks: np.ndarray, P: np.ndarray, rng):
         yield i, rng.random(n - 1 - i) < thresholds[i - start:]
 
 
-def _block_random_graph(blocks: np.ndarray, P: np.ndarray, rng) -> Graph:
-    """Graph on vertices 0..len(blocks)-1, vertex i in block ``blocks[i]``,
-    with the pairs _sampled_rows joins."""
+def _sampled_edges(blocks: np.ndarray, P: np.ndarray, rng) -> np.ndarray:
+    """The (m, 2) pairs _sampled_rows joins on vertices 0..len(blocks)-1,
+    vertex i in block ``blocks[i]``, in draw order."""
     n = blocks.size
     counts = np.zeros(n, dtype=np.int64)
     vs = []
@@ -618,7 +602,7 @@ def _block_random_graph(blocks: np.ndarray, P: np.ndarray, rng) -> Graph:
     edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
     if vs:
         np.concatenate(vs, out=edges[:, 1])
-    return Graph.from_edges(n, edges)
+    return edges
 
 
 def _check_seed(seed) -> None:
@@ -626,14 +610,16 @@ def _check_seed(seed) -> None:
         raise DomainError(f"seed must be nonnegative (got {seed!r})")
 
 
-def _check_draw_size(n: int, edges: float) -> None:
-    """Refuse, before drawing, a sampled graph whose predicted edge count
-    would take more than _DRAW_MAX_BYTES to draw and build."""
-    if edges * _DRAW_BYTES_PER_EDGE > _DRAW_MAX_BYTES:
-        raise DomainError(
-            f"sampled graph too large to draw: n={n} would have about {edges:.3g} "
-            f"edges ({edges * _DRAW_BYTES_PER_EDGE:.3g} bytes at {_DRAW_BYTES_PER_EDGE}"
-            f" an edge), over the {_DRAW_MAX_BYTES}-byte budget")
+def _check_draw_size(n: int, edges: float, exact: bool = False) -> None:
+    """Refuse, before anything is drawn or built, a graph whose edge count,
+    predicted for a sampled graph or exact for a 0/1 structure, would take
+    more than _DRAW_MAX_BYTES to draw and build."""
+    need = edges * _DRAW_BYTES_PER_EDGE
+    if need > _DRAW_MAX_BYTES:
+        what = (f"graph too large to build: n={n} has {edges}" if exact else
+                f"sampled graph too large to draw: n={n} would have about {edges:.3g}")
+        raise DomainError(f"{what} edges ({need:.3g} bytes at {_DRAW_BYTES_PER_EDGE}"
+                          f" an edge), over the {_DRAW_MAX_BYTES}-byte budget")
 
 
 def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
@@ -656,7 +642,7 @@ def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     cum = np.cumsum(w.sizes)
     blocks = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
                         w.num_blocks - 1)
-    return _block_random_graph(blocks, w.probs, rng)
+    return Graph.from_edges(n, _sampled_edges(blocks, w.probs, rng))
 
 
 class _Blowup:
@@ -687,37 +673,36 @@ class _Blowup:
         return list(self.parts) + [self.universal], A
 
     def graph(self, seed: int) -> Graph:
-        """The graph.  Fractional densities are sampled by _block_random_graph
+        """The graph.  Fractional densities are sampled by _sampled_edges
         (PCG64 from ``seed``); the universal vertices are joined afterwards,
         so they draw nothing.  A negative seed raises DomainError, and so
-        does a sampled graph whose predicted edges, the mean plus 6 standard
-        deviations from the part sizes, exceed the draw budget (see
-        _check_draw_size), before anything is drawn."""
+        does a graph whose edges exceed the draw budget (see
+        _check_draw_size), before anything is drawn or built: a 0/1
+        structure's exact edge count, or a sampled graph's predicted one,
+        the mean plus 6 standard deviations from the part sizes."""
         _check_seed(seed)
         sizes, A = self.blocks()
         n = sum(sizes)
         _check_vertex_count(n)
         if self.deterministic:
+            _check_draw_size(n, self._structure_counts()[0], exact=True)
             return Graph.from_edges(n, _block_edges(sizes, A, self.link))
         nv = np.array(sizes, dtype=float)
         pairs = (np.outer(nv, nv) - np.diag(nv)) / 2
         _check_draw_size(n, float((pairs * A).sum())
                          + 6 * math.sqrt(float((pairs * A * (1 - A)).sum())))
         blocks = np.repeat(np.arange(len(self.parts)), self.parts)
-        g = _block_random_graph(blocks, self.probs, np.random.default_rng(seed))
-        if not self.universal:
-            return g
-        src, dst = g.directed_edges()
-        keep = src < dst
-        joined = _block_edges([g.n, self.universal], np.array([[0, 1], [1, 1]]))
-        return Graph.from_edges(g.n + self.universal, np.concatenate(
-            [np.column_stack([src[keep], dst[keep]]), joined]))
+        edges = _sampled_edges(blocks, self.probs, np.random.default_rng(seed))
+        if self.universal:
+            edges = np.concatenate([edges, _block_edges(
+                [n - self.universal, self.universal], np.array([[0, 1], [1, 1]]))])
+        return Graph.from_edges(n, edges)
 
     def census(self, seed: int) -> tuple:
         """(path, census of graph(seed)), in exact integers.
 
         The path is "structure" for 0/1 densities below 2^63 vertices (see
-        _structure_census), "bitset" for sampled densities while the bitset
+        _structure_counts), "bitset" for sampled densities while the bitset
         of n * ceil(n/64) words fits in _BITSET_MAX_BYTES (_upper_census of
         bitset(seed)), and otherwise "graph": census_fast(graph(seed)).
         Other than by the structure, a blow-up above the vertex limit raises
@@ -725,7 +710,7 @@ class _Blowup:
         """
         n = sum(self.parts) + self.universal
         if self.deterministic and n < 1 << 63:
-            return "structure", self._structure_census()
+            return "structure", _census(n, *self._structure_counts())
         _check_vertex_count(n)
         if n * ((n + 63) >> 6) * 8 <= _BITSET_MAX_BYTES:
             return "bitset", _upper_census(self.bitset(seed))
@@ -755,8 +740,9 @@ class _Blowup:
             packed[i] = np.packbits(row, bitorder="little")
         return rows
 
-    def _structure_census(self) -> TripleCensus:
-        """The census of a deterministic blow-up, in exact integers.
+    def _structure_counts(self) -> tuple:
+        """(m, p2, t) of a deterministic blow-up (see census_fast), in exact
+        integers.
 
         With A the 0/1 block matrix, B its off-diagonal part, n_i the part
         sizes and c_ij = sum_k B_ik n_k B_kj (the parts joined to both i and
@@ -784,7 +770,7 @@ class _Blowup:
             t += (a[i] * sizes[i] + a[j] * sizes[j]) * math.comb(d, 2) + sizes[i] * d * c[i][j]
         m = sum(ni * di for ni, di in zip(sizes, deg)) // 2
         p2 = sum(ni * math.comb(di, 2) for ni, di in zip(sizes, deg) if ni)
-        return _census(sum(sizes), m, p2, t)
+        return m, p2, t
 
 
 def _block_edges(sizes, A, link=None) -> np.ndarray:
@@ -850,25 +836,14 @@ def read_edge_list(path) -> Graph:
             return _edge_graph(*parsed)
         except DomainError:
             pass    # a self-loop, a duplicate or an id out of range
-    return _edge_graph(*_parse_edge_text(data))
+    n_directive, ends = _parse_edge_lines(_utf8_lines(data))
+    return _edge_graph(n_directive, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2))
 
 
 def _edge_graph(n_directive, edges: np.ndarray) -> Graph:
     n = n_directive if n_directive is not None else (
         int(edges.max()) + 1 if edges.size else 0)
     return Graph.from_edges(n, edges)
-
-
-def _parse_edge_text(data: bytes) -> tuple:
-    """(n directive or None, (m, 2) endpoints) of a file, by the line loop."""
-    try:
-        n_directive, ends = _parse_edge_lines(
-            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    except UnicodeDecodeError:
-        # the text layer decodes a buffer ahead of the lines handed out, so
-        # parse again one line at a time to name the first offending line
-        n_directive, ends = _parse_edge_lines(_utf8_lines(io.BytesIO(data)))
-    return n_directive, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def _parse_edge_bytes(data: bytes):
@@ -944,8 +919,13 @@ def _parse_edge_chunk(chunk: bytes):
     return ends if ends.size == tok.size else None
 
 
-def _utf8_lines(f):
-    for lineno, raw in enumerate(f, 1):
+def _utf8_lines(data: bytes):
+    """Yield the lines of data as _LINE splits them, each decoded from UTF-8;
+    a line that is not UTF-8 raises InputFormatError naming it."""
+    for lineno, match in enumerate(_LINE.finditer(data), 1):
+        raw = match.group()
+        if not raw:
+            return                  # the end of the data
         try:
             yield raw.decode("utf-8")
         except UnicodeDecodeError:

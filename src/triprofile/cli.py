@@ -67,18 +67,23 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _write_lines(lines, out) -> None:
+    """Write lines to stdout when out is None or "-", else to the file out."""
+    payload = "\n".join(lines) + "\n"
+    if out in (None, "-"):
+        sys.stdout.write(payload)
+    else:
+        with open(out, "w", encoding="utf-8", newline="\n") as f:
+            f.write(payload)
+
+
 def cmd_boundary(args) -> int:
     if args.samples < 2:
         raise DomainError("--samples must be at least 2")
     rows = bnd.sample_boundary(args.region, args.samples)
     lines = ["param,x,y,branch"]
     lines += [f"{_fmt(p)},{_fmt(x)},{_fmt(y)},{branch}" for p, x, y, branch in rows]
-    payload = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(payload)
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -185,12 +190,7 @@ def cmd_sweep(args) -> int:
                 row += [_fmt(v) for v in lim.profile + (lim.d_e,)]
                 row.append(_fmt(fin.max_deviation(lim)))
                 lines.append(",".join(row))
-    payload = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(payload)
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -215,12 +215,7 @@ def cmd_verify(args) -> int:
     # imported here so that the other subcommands do not load the checks
     from .verify import run_suite
 
-    try:
-        results = run_suite(args.suite)
-    except KeyError:
-        raise DomainError(
-            f"unknown suite {args.suite!r}; valid: all, census, boundary, "
-            "constructions, optimizer") from None
+    results = run_suite(args.suite)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import boundary
+from .boundary import _check_range
 from .census import (Graph, StepGraphon, TripleCensus, _Blowup, _check_seed,
                      census_fast, graphon_densities)
 from .errors import DomainError
@@ -59,16 +60,6 @@ def _graphon(sizes, probs) -> StepGraphon:
     return StepGraphon(s[keep], P[np.ix_(keep, keep)])
 
 
-def _check(name: str, value: float, lo: float, hi: float,
-           hi_open: bool = False) -> float:
-    value = float(value)
-    ok = math.isfinite(value) and lo <= value and (value < hi if hi_open else value <= hi)
-    if not ok:
-        right = ")" if hi_open else "]"
-        raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}{right} (got {value!r})")
-    return value
-
-
 def g0_graphon(x: float) -> StepGraphon:
     """Limit object of the family tracing the S13 upper boundary.
 
@@ -81,7 +72,7 @@ def g0_graphon(x: float) -> StepGraphon:
         triangle density x;
       [1/9, 1/4]: three cliques (sigma, sigma, 1-2 sigma).
     """
-    x = _check("x", x, -0.25, 0.25)
+    x = _check_range("x", x, -0.25, 0.25)
     if x < 0:
         s = 0.25 + x
         P = np.zeros((5, 5))
@@ -146,7 +137,7 @@ def _g0_blowup(n: int, x: float) -> _Blowup:
 
 def g0_graph(x: float, n: int, seed: int = 0) -> Graph:
     """Finite n-vertex realization of g0_graphon(x) (see _g0_blowup)."""
-    x = _check("x", x, -0.25, 0.25)
+    x = _check_range("x", x, -0.25, 0.25)
     if n < 8:
         raise DomainError("need n >= 8")
     return _g0_blowup(n, x).graph(seed)
@@ -154,11 +145,11 @@ def g0_graph(x: float, n: int, seed: int = 0) -> Graph:
 
 def g1_graphon(a: float, x: float) -> StepGraphon:
     """g0_graphon(x) scaled to mass 1-a plus a fully-joined block of mass a."""
-    a = _check("a", a, 0.0, 1.0)
+    a = _check_range("a", a, 0.0, 1.0)
     if a == 0.0:
         return g0_graphon(x)
     if a == 1.0:
-        _check("x", x, -0.25, 0.25)
+        _check_range("x", x, -0.25, 0.25)
         return StepGraphon([1.0], [[1.0]])
     base = g0_graphon(x)
     b = base.num_blocks
@@ -186,8 +177,8 @@ def _g1_blowup(n: int, a: float, x: float) -> _Blowup:
 
 def g1_graph(a: float, x: float, n: int, seed: int = 0) -> Graph:
     """g0_graph on ceil((1-a) n) vertices plus floor(a n) universal vertices."""
-    a = _check("a", a, 0.0, 1.0)
-    x = _check("x", x, -0.25, 0.25)
+    a = _check_range("a", a, 0.0, 1.0)
+    x = _check_range("x", x, -0.25, 0.25)
     if n < 8:
         raise DomainError("need n >= 8")
     return _g1_blowup(n, a, x).graph(seed)
@@ -196,8 +187,8 @@ def g1_graph(a: float, x: float, n: int, seed: int = 0) -> Graph:
 def g2_graphon(a: float, p: float) -> StepGraphon:
     """Two blocks a and 1-a: complete inside the first, density p across,
     density 1-p inside the second."""
-    a = _check("a", a, 0.0, 1.0)
-    p = _check("p", p, 0.0, 1.0)
+    a = _check_range("a", a, 0.0, 1.0)
+    p = _check_range("p", p, 0.0, 1.0)
     return _graphon([a, 1.0 - a], [[1.0, p], [p, 1.0 - p]])
 
 
@@ -213,8 +204,8 @@ def s12_graphon(a: float, p: float) -> StepGraphon:
     Its co-cherry and cherry densities are 3p(1-p)^2 + 3a(1-a)p(2p-1) and
     3p^2(1-p) + 3a(1-a)(1-p)(1-2p).
     """
-    a = _check("a", a, 0.0, 1.0)
-    p = _check("p", p, 0.0, 1.0)
+    a = _check_range("a", a, 0.0, 1.0)
+    p = _check_range("p", p, 0.0, 1.0)
     return _graphon([a, 1.0 - a], [[p, 1.0 - p], [1.0 - p, p]])
 
 
@@ -236,8 +227,8 @@ def s23_graphon(a: float, b: float) -> StepGraphon:
     and one remainder part; for a = 0 it is a single clique block.  The
     (cherry, triangle) profile scales as b^3 times the b = 1 profile.
     """
-    a = _check("a", a, 0.0, 0.5)
-    b = _check("b", b, 0.0, 1.0)
+    a = _check_range("a", a, 0.0, 0.5)
+    b = _check_range("b", b, 0.0, 1.0)
     if b == 0.0:
         return StepGraphon([1.0], [[0.0]])
     if a == 0.0:
@@ -263,7 +254,7 @@ def min_triangle_graphon(edge_density: float) -> StepGraphon:
     of weight z; the last two parts can equally be read as the complete
     bipartite choice filling the final block of the extremal structure.
     """
-    d = _check("edge density", edge_density, 0.5, 1.0, hi_open=True)
+    d = _check_range("edge density", edge_density, 0.5, 1.0, hi_open=True)
     p = boundary.edge_partition(d)
     k, z = _part_count(p.k, f"edge density {d!r}"), p.z
     sizes = [(1.0 - z) / (k - 1)] * (k - 1) + [z]
@@ -275,7 +266,7 @@ def clique_plus_isolated_graphon(a: float, complemented: bool = False) -> StepGr
 
     Sweeping a over [0, 1] in both orientations traces the S03 upper curve.
     """
-    a = _check("a", a, 0.0, 1.0)
+    a = _check_range("a", a, 0.0, 1.0)
     P = np.array([[1.0, 0.0], [0.0, 0.0]])
     if complemented:
         P = 1.0 - P
@@ -374,7 +365,7 @@ class FamilySpec:
                 f"missing parameter(s) {sorted(missing)} for family {self.family!r}")
         for key, (lo, hi, hi_open) in fam.domains.items():
             name = f"{self.family} parameter {key}"
-            value = _check(name, self.params[key], lo, hi, hi_open=hi_open)
+            value = _check_range(name, self.params[key], lo, hi, hi_open=hi_open)
             if key in fam.flags and value not in (0.0, 1.0):
                 raise DomainError(f"{name} must be 0 or 1 (got {value!r})")
         if self.seed is not None:

@@ -348,12 +348,11 @@ _MOVES = (
 )
 
 
-def _polish(x, a: float, refine_tol: float, coord_cap: float,
-            bracket: float, max_iter: int = 10000):
+def _polish(x, a: float, refine_tol: float, bracket: float, max_iter: int = 10000):
     """Golden-section ascent along simplex-tangent directions.
 
     Each move line-searches x + t*w over the segment keeping every
-    coordinate inside [0, coord_cap] and |t| <= bracket.  Stops when a full
+    coordinate inside [0, 1/2] and |t| <= bracket.  Stops when a full
     sweep improves the value by less than refine_tol; errors out at the
     iteration cap.  Works on Python floats: three scalar terms per
     evaluation.  Returns (x as a tuple, value).
@@ -369,11 +368,11 @@ def _polish(x, a: float, refine_tol: float, coord_cap: float,
             lo, hi = -bracket, bracket
             for xk, wk in zip(x, w):
                 if wk > 0:
-                    hi = min(hi, (coord_cap - xk) / wk)
+                    hi = min(hi, (0.5 - xk) / wk)
                     lo = max(lo, -xk / wk)
                 elif wk < 0:
                     hi = min(hi, xk / -wk)
-                    lo = max(lo, (xk - coord_cap) / -wk)
+                    lo = max(lo, (xk - 0.5) / -wk)
             if hi <= lo:
                 continue
             x0, x1, x2 = x
@@ -396,7 +395,7 @@ def _polish(x, a: float, refine_tol: float, coord_cap: float,
                     d = lo + _GOLDEN * (hi - lo)
                     fd = f(d)
             t = 0.5 * (lo + hi)
-            trial = tuple(min(max(xk + t * wk, 0.0), coord_cap)
+            trial = tuple(min(max(xk + t * wk, 0.0), 0.5)
                           for xk, wk in zip(x, w))
             if val(trial) > best:
                 x = trial
@@ -430,7 +429,6 @@ def maximize_grid(alpha: float, grid: int = 400,
     x3 = 1.0 - x1 - x2
     vals = (_term_eliminated(x1, a) + _term_eliminated(x2, a)
             + _term_eliminated(x3, a))
-    full_best = float(vals.max())
     bracket = max(2.0 / grid, 1e-3)
     # polish the leading strict-region grid points; several starts guard
     # against permuted ties of near-degenerate stationary configurations
@@ -438,20 +436,12 @@ def maximize_grid(alpha: float, grid: int = 400,
                            vals, -np.inf)
     polished = []
     for b in np.argsort(-strict_vals)[:12]:
-        polished.append(_polish((x1[b], x2[b], x3[b]), a, refine_tol,
-                                coord_cap=0.5, bracket=bracket))
+        polished.append(_polish((x1[b], x2[b], x3[b]), a, refine_tol, bracket))
     champion = max(v for _, v in polished)
-    if champion < full_best - 1e-9:
-        # the restricted refinement lost ground; fall back to the
-        # unconstrained polish from the global grid argmax
-        b = int(np.argmax(vals))
-        x, value = _polish((x1[b], x2[b], x3[b]), a, refine_tol,
-                           coord_cap=1.0, bracket=bracket)
-    else:
-        # among ties prefer the maximizer farthest from the x_j = 1/2
-        # face (the strictly feasible one), then sort for determinism
-        x, value = min((p for p in polished if p[1] >= champion - 1e-12),
-                       key=lambda p: max(p[0]))
+    # among ties prefer the maximizer farthest from the x_j = 1/2
+    # face (the strictly feasible one), then sort for determinism
+    x, value = min((p for p in polished if p[1] >= champion - 1e-12),
+                   key=lambda p: max(p[0]))
     xs = tuple(sorted(x))
     ys = tuple(stationary_y(v, a) for v in xs)
     best = FeasiblePoint(x=xs, y=ys)

@@ -18,6 +18,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_limited(address_bytes, *argv):
+    """Run the CLI in a subprocess whose address space is limited to address_bytes."""
+    src = os.path.dirname(os.path.dirname(triprofile.__file__))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_bytes, address_bytes))
+
+    return subprocess.run([sys.executable, "-m", "triprofile.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+                          timeout=60, capture_output=True, text=True)
+
+
 @pytest.fixture
 def c5_path(tmp_path):
     p = tmp_path / "c5.edges"
@@ -244,6 +256,19 @@ class TestConstruct:
         assert err == "error: seed must be nonnegative (got -5)\n"
         assert not (tmp_path / "x.edges").exists()
 
+    def test_structure_too_large_exit_1(self, tmp_path):
+        # g0 x=0.2 at n=200000 has 8 711 188 587 edges, exact from its part
+        # sizes; it is refused before any allocation, even under a 1 GB
+        # address-space limit
+        out = tmp_path / "x.edges"
+        done = run_limited(1 << 30, "construct", "--family", "g0", "--param", "x=0.2",
+                           "--n", "200000", "--out", str(out))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            "error: graph too large to build: n=200000 has 8711188587 edges "
+            "(7.32e+11 bytes at 84 an edge), over the 17179869184-byte budget\n")
+        assert not out.exists()
+
     def test_invalid_family_lists_ranges(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--family", "g0",
                            "--param", "x=0.9", "--n", "100",
@@ -297,17 +322,9 @@ class TestSweep:
         # above the bitset cap a sampled census draws a graph: n=50000 at
         # density 0.54 would take about 56 GB, refused before any draw even
         # under a 3 GB address-space limit
-        src = os.path.dirname(os.path.dirname(triprofile.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
         start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "triprofile.cli", "sweep", "--family", "g2",
-             "--param-grid", "a=0.3", "--param-grid", "p=0.6", "--n-list", "50000"],
-            env=env, preexec_fn=limit, timeout=60, capture_output=True, text=True)
+        done = run_limited(3 << 30, "sweep", "--family", "g2", "--param-grid", "a=0.3",
+                           "--param-grid", "p=0.6", "--n-list", "50000")
         assert time.perf_counter() - start < 10
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == (

@@ -487,9 +487,40 @@ class TestFiniteCensus:
             realize(spec)
         # the bitset path draws no graph, so no budget holds it back
         assert finite_census(spec) == census_fast(g)
-        # a 0/1 structure draws nothing, so it is built whatever the budget
+
+    @pytest.mark.parametrize("family,params", [
+        ("g0", {"x": 0.08}), ("g1", {"a": 0.3, "x": 0.2}),
+        ("multipartite", {"a": 0.29, "b": 0.8})])
+    def test_structure_budget(self, monkeypatch, family, params):
+        # a 0/1 structure's edge count is exact from its part sizes and link:
+        # built at a budget of exactly its edges, refused one edge below, and
+        # counted from its structure whatever the budget
+        spec = FamilySpec(family, params, n=100)
+        g = realize(spec)
+        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * g.m)
+        assert realize(spec) == g
+        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * (g.m - 1))
+        with pytest.raises(DomainError) as err:
+            realize(spec)
+        assert str(err.value) == (
+            f"graph too large to build: n=100 has {g.m} edges ({84 * g.m:.3g} bytes "
+            f"at 84 an edge), over the {84 * (g.m - 1)}-byte budget")
         monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 0)
-        assert realize(FamilySpec("g0", {"x": 0.2}, n=100)).m > 0
+        assert finite_census(spec) == census_fast(g)
+
+    def test_structure_too_large_to_build(self):
+        # 8 711 188 587 edges: refused before any allocation, yet counted
+        spec = FamilySpec("g0", {"x": 0.2}, n=200000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="^graph too large to build: n=200000 "
+                                                  "has 8711188587 edges"):
+                realize(spec)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        c = finite_census(spec)
+        assert c.c1 + 2 * c.c2 + 3 * c.c3 == 8711188587 * (200000 - 2)
 
     @pytest.mark.parametrize("n,refused", [(14000, False), (27570, False), (27571, True)])
     def test_draw_budget_sizes(self, monkeypatch, n, refused):
@@ -502,7 +533,7 @@ class TestFiniteCensus:
         def draw(*args):
             raise Drawn
 
-        monkeypatch.setattr(census_module, "_block_random_graph", draw)
+        monkeypatch.setattr(census_module, "_sampled_edges", draw)
         spec = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=n, seed=1)
         with pytest.raises(DomainError if refused else Drawn):
             realize(spec)
