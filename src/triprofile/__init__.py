@@ -15,14 +15,13 @@ from .boundary import (CurveParams, MembershipVerdict, Region, edge_partition,
 from .census import (DensityVector, Graph, StepGraphon, TripleCensus,
                      census_brute, census_fast, densities, graphon_densities,
                      graphon_densities_brute, read_edge_list,
-                     read_step_graphon, sample_w_random_graph,
-                     write_edge_list, write_step_graphon)
+                     read_step_graphon, write_edge_list, write_step_graphon)
 from .constructions import (FAMILIES, Family, FamilySpec, blowup_graph,
                             clique_plus_isolated_graphon, finite_census,
                             g0_graph, g0_graphon, g1_graph, g1_graphon,
                             g1_profile, g2_graphon, g2_profile, limit_graphon,
                             min_triangle_graphon, realize, s12_graphon,
-                            s23_graphon)
+                            s23_graphon, sample_w_random_graph)
 from .errors import DomainError, InputFormatError
 from .optimizer import (Candidate, FeasiblePoint, OptimizationResult,
                         analytic_candidates, closed_form_max, maximize_grid,

@@ -42,7 +42,7 @@ __all__ = [
 
 # inverse curves promise 1e-12 argument accuracy; running the solves a
 # few halvings past that keeps composed round trips well inside it
-BISECT_TOL = 2e-14
+SOLVE_TOL = 2e-14
 
 
 class Region(Enum):
@@ -120,8 +120,7 @@ class CurveParams:
 
 
 def _solve(f: Callable[[float], float], df: Callable[[float], float],
-           lo: float, hi: float, target: float, start: Optional[float] = None,
-           tol: float = BISECT_TOL) -> float:
+           lo: float, hi: float, target: float, start: Optional[float] = None) -> float:
     """Invert an increasing f on [lo, hi] to absolute argument tolerance.
 
     Safeguarded Newton (rtsafe): every evaluation of f moves one end of the
@@ -130,13 +129,13 @@ def _solve(f: Callable[[float], float], df: Callable[[float], float],
     the step before last.  A Newton step past an end of [lo, hi] that no
     evaluation has moved lands on that end, so a root at the end of the
     range is hit exactly instead of being crept up on by bisection.  Stops
-    at an exact hit, or once the bracket or a Newton step is within tol;
+    at an exact hit, or once the bracket or a Newton step is within SOLVE_TOL;
     ``start`` (default: the midpoint) is clamped into the bracket.
     """
     bottom, top = lo, hi
     x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
     step = before = hi - lo
-    while hi - lo > tol:
+    while hi - lo > SOLVE_TOL:
         fx = f(x) - target
         if fx == 0.0:
             return x
@@ -146,7 +145,7 @@ def _solve(f: Callable[[float], float], df: Callable[[float], float],
             hi = x
         slope = df(x)
         dx = fx / slope if slope > 0.0 else math.copysign(math.inf, fx)
-        if abs(dx) <= 0.25 * tol:
+        if abs(dx) <= 0.25 * SOLVE_TOL:
             return x - dx
         nx = x - dx
         if nx >= hi and hi == top:
@@ -230,7 +229,7 @@ def min_triangle_density_inverse(t: float) -> float:
     d_e = 1 - 1/k.  The piece holding t, the smallest k >= 3 with
     T(k) >= t, is found in O(1); the solve then runs on that piece alone,
     with slope dt/dd_e = 3(1-z)(k-2)/(k-1).  The result is within
-    BISECT_TOL of the exact inverse.
+    SOLVE_TOL of the exact inverse.
     """
     t = _check_range("triangle density", t, 0.0, 1.0)
     if t == 0.0:

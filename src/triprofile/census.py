@@ -30,7 +30,6 @@ __all__ = [
     "graphon_densities_brute",
     "densities",
     "graphon_densities",
-    "sample_w_random_graph",
     "read_edge_list",
     "write_edge_list",
     "read_step_graphon",
@@ -54,15 +53,6 @@ _GATHER_WORDS = 1 << 16
 # entry is at most _TILE, so each masked row sum is an integer of at most
 # _TILE * n < 2^24, exact in float32, within the bitset cap (n <= 46 336).
 _TILE = 256
-# Bytes an edge is charged against _DRAW_MAX_BYTES.  tracemalloc gave a
-# peak of 64 for building every family's graph at n=3000 and 6000
-# (_sampled_edges or _block_edges, then Graph.from_edges) and 66 for
-# census_fast on the graph while it is held; 84 stays above both.
-_DRAW_BYTES_PER_EDGE = 84
-# A graph whose edges would need more is refused: twice the memory of an
-# 8 GB machine.  A refused graph would peak above 12 GiB at 64 bytes an
-# edge, so no graph such a machine could build is refused.
-_DRAW_MAX_BYTES = 1 << 34
 # Bytes of an edge-list body the fast parser checks at once: its masks and
 # token positions are O(chunk), beside the endpoint array itself.  At 256 KB
 # they stay in cache; 8 MB chunks parsed a 41 MB file 40% slower.
@@ -569,226 +559,6 @@ def graphon_densities(w: StepGraphon) -> DensityVector:
     (ppp, ppq), (qqp, qqq) = (((X @ X)[:, None] * S).sum(-1) @ s).tolist()
     d_e = float(s @ P @ s)
     return DensityVector(d0=qqq, d1=3 * qqp, d2=3 * ppq, d3=ppp, d_e=d_e)
-
-
-def _sampled_rows(blocks: np.ndarray, P: np.ndarray, rng):
-    """Yield (i, hit) for each vertex i but the last, in order.
-
-    hit[k] says whether the pair {i, i+1+k} is joined: its uniform from
-    ``rng`` is below ``P[blocks[i], blocks[i+1+k]]``.  One uniform per
-    unordered pair, drawn in row-major order, so every seeded graph is
-    fixed by the generator's state and this draw order.  The threshold row
-    is gathered again only where blocks[i] changes: k times for k parts in
-    vertex order, so its memory is O(n).
-    """
-    n = blocks.size
-    for i in range(n - 1):
-        if i == 0 or blocks[i] != blocks[i - 1]:
-            start, thresholds = i, P[blocks[i], blocks[i + 1:]]
-        yield i, rng.random(n - 1 - i) < thresholds[i - start:]
-
-
-def _sampled_edges(blocks: np.ndarray, P: np.ndarray, rng) -> np.ndarray:
-    """The (m, 2) pairs _sampled_rows joins on vertices 0..len(blocks)-1,
-    vertex i in block ``blocks[i]``, in draw order."""
-    n = blocks.size
-    counts = np.zeros(n, dtype=np.int64)
-    vs = []
-    for i, hit in _sampled_rows(blocks, P, rng):
-        hit = np.nonzero(hit)[0]
-        counts[i] = hit.size
-        vs.append(hit + (i + 1))
-    edges = np.empty((int(counts.sum()), 2), dtype=np.int64)
-    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
-    if vs:
-        np.concatenate(vs, out=edges[:, 1])
-    return edges
-
-
-def _check_seed(seed) -> None:
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative (got {seed!r})")
-
-
-def _check_draw_size(n: int, edges: float, exact: bool = False) -> None:
-    """Refuse, before anything is drawn or built, a graph whose edge count,
-    predicted for a sampled graph or exact for a 0/1 structure, would take
-    more than _DRAW_MAX_BYTES to draw and build."""
-    need = edges * _DRAW_BYTES_PER_EDGE
-    if need > _DRAW_MAX_BYTES:
-        what = (f"graph too large to build: n={n} has {edges}" if exact else
-                f"sampled graph too large to draw: n={n} would have about {edges:.3g}")
-        raise DomainError(f"{what} edges ({need:.3g} bytes at {_DRAW_BYTES_PER_EDGE}"
-                          f" an edge), over the {_DRAW_MAX_BYTES}-byte budget")
-
-
-def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
-    """Sample an n-vertex graph from a step graphon, reproducibly.
-
-    Uses numpy's default generator (PCG64) seeded with ``seed``: first n
-    uniforms assign vertices to blocks by the cumulative size distribution,
-    then one uniform per unordered pair (row-major order) decides each edge.
-    The output is deterministic given (w, n, seed).  A negative seed, n
-    above the vertex limit, or an expected d_e * C(n,2) edges beyond the
-    draw budget (see _check_draw_size) raises DomainError before anything
-    is drawn.
-    """
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
-    _check_vertex_count(n)
-    _check_seed(seed)
-    _check_draw_size(n, float(w.sizes @ w.probs @ w.sizes) * math.comb(n, 2))
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(w.sizes)
-    blocks = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
-                        w.num_blocks - 1)
-    return Graph.from_edges(n, _sampled_edges(blocks, w.probs, rng))
-
-
-class _Blowup:
-    """A finite blow-up: part sizes in vertex order and their block densities.
-
-    ``link`` = (a, b, d) joins the equal parts a and b, whose block density
-    is 0, by the circulant of degree d: vertex i of a to vertices i, ...,
-    i+d-1 (mod size) of b, which is exactly biregular.  The ``universal``
-    vertices come last, joined to every vertex.
-    """
-
-    __slots__ = ("parts", "probs", "link", "universal")
-
-    def __init__(self, parts: list, probs: np.ndarray, link=None, universal: int = 0):
-        if any(p < 0 for p in parts):
-            raise DomainError("part sizes must be nonnegative")
-        self.parts, self.probs, self.link, self.universal = parts, probs, link, universal
-
-    @property
-    def deterministic(self) -> bool:
-        return bool(np.all((self.probs == 0) | (self.probs == 1)))
-
-    def blocks(self) -> tuple:
-        """(sizes, densities) with the universal vertices as a last part."""
-        k = len(self.parts)
-        A = np.ones((k + 1, k + 1))
-        A[:k, :k] = self.probs
-        return list(self.parts) + [self.universal], A
-
-    def graph(self, seed: int) -> Graph:
-        """The graph.  Fractional densities are sampled by _sampled_edges
-        (PCG64 from ``seed``); the universal vertices are joined afterwards,
-        so they draw nothing.  A negative seed raises DomainError, and so
-        does a graph whose edges exceed the draw budget (see
-        _check_draw_size), before anything is drawn or built: a 0/1
-        structure's exact edge count, or a sampled graph's predicted one,
-        the mean plus 6 standard deviations from the part sizes."""
-        _check_seed(seed)
-        sizes, A = self.blocks()
-        n = sum(sizes)
-        _check_vertex_count(n)
-        if self.deterministic:
-            _check_draw_size(n, self._structure_counts()[0], exact=True)
-            return Graph.from_edges(n, _block_edges(sizes, A, self.link))
-        nv = np.array(sizes, dtype=float)
-        pairs = (np.outer(nv, nv) - np.diag(nv)) / 2
-        _check_draw_size(n, float((pairs * A).sum())
-                         + 6 * math.sqrt(float((pairs * A * (1 - A)).sum())))
-        blocks = np.repeat(np.arange(len(self.parts)), self.parts)
-        edges = _sampled_edges(blocks, self.probs, np.random.default_rng(seed))
-        if self.universal:
-            edges = np.concatenate([edges, _block_edges(
-                [n - self.universal, self.universal], np.array([[0, 1], [1, 1]]))])
-        return Graph.from_edges(n, edges)
-
-    def census(self, seed: int) -> tuple:
-        """(path, census of graph(seed)), in exact integers.
-
-        The path is "structure" for 0/1 densities below 2^63 vertices (see
-        _structure_counts), "bitset" for sampled densities while the bitset
-        of n * ceil(n/64) words fits in _BITSET_MAX_BYTES (_upper_census of
-        bitset(seed)), and otherwise "graph": census_fast(graph(seed)).
-        Other than by the structure, a blow-up above the vertex limit raises
-        DomainError before anything is allocated.
-        """
-        n = sum(self.parts) + self.universal
-        if self.deterministic and n < 1 << 63:
-            return "structure", _census(n, *self._structure_counts())
-        _check_vertex_count(n)
-        if n * ((n + 63) >> 6) * 8 <= _BITSET_MAX_BYTES:
-            return "bitset", _upper_census(self.bitset(seed))
-        return "graph", census_fast(self.graph(seed))
-
-    def bitset(self, seed: int) -> np.ndarray:
-        """The upper-triangular bitset of graph(seed), n * ceil(n/64) words.
-
-        Row i holds the neighbours of vertex i above i, packed from the
-        pairs _sampled_rows joins, in the draw order of graph(seed); the
-        universal vertices' columns are set in every base row, and their own
-        rows are complete.  No edge list is kept.
-        """
-        base = sum(self.parts)
-        n = base + self.universal
-        words = (n + 63) >> 6
-        rows = np.zeros((n, words), dtype=np.uint64)
-        packed = rows.view(np.uint8)    # column c is bit c % 8 of byte c // 8
-        row = np.zeros(words * 64, dtype=bool)
-        row[base:n] = True
-        blocks = np.repeat(np.arange(len(self.parts)), self.parts)
-        sampled = _sampled_rows(blocks, self.probs, np.random.default_rng(seed))
-        for i in range(n - 1):
-            row[i] = False      # the columns below i+1 are clear from here on
-            if i < base - 1:
-                row[i + 1:base] = next(sampled)[1]
-            packed[i] = np.packbits(row, bitorder="little")
-        return rows
-
-    def _structure_counts(self) -> tuple:
-        """(m, p2, t) of a deterministic blow-up (see census_fast), in exact
-        integers.
-
-        With A the 0/1 block matrix, B its off-diagonal part, n_i the part
-        sizes and c_ij = sum_k B_ik n_k B_kj (the parts joined to both i and
-        j), a vertex of part i has degree D_i = sum_j A_ij n_j - A_ii, and
-        the triangles are sum_i A_ii C(n_i,3) + sum_{i!=j} A_ii A_ij
-        C(n_i,2) n_j + sum_{i,j} n_i n_j B_ij c_ij / 6.  The link adds d to
-        the degrees in parts a and b, and (A_aa n_a + A_bb n_b) C(d,2) +
-        n_a d c_ab triangles.  The block sums are int64: exact below 2^63
-        vertices.
-        """
-        sizes, A = self.blocks()
-        A = A.astype(np.int64)
-        nv = np.array(sizes, dtype=np.int64)
-        B = A - np.diag(np.diag(A))
-        c = ((B * nv) @ B).tolist()
-        a, row = np.diag(A).tolist(), (A @ nv).tolist()
-        deg = [r - ai for r, ai in zip(row, a)]
-        t = sum(ai * (math.comb(ni, 3) + math.comb(ni, 2) * (r - ai * ni))
-                for ni, ai, r in zip(sizes, a, row))
-        t += sum(sizes[i] * sizes[j] * c[i][j] for i, j in zip(*np.nonzero(B))) // 6
-        if self.link is not None:
-            i, j, d = self.link
-            deg[i] += d
-            deg[j] += d
-            t += (a[i] * sizes[i] + a[j] * sizes[j]) * math.comb(d, 2) + sizes[i] * d * c[i][j]
-        m = sum(ni * di for ni, di in zip(sizes, deg)) // 2
-        p2 = sum(ni * math.comb(di, 2) for ni, di in zip(sizes, deg) if ni)
-        return m, p2, t
-
-
-def _block_edges(sizes, A, link=None) -> np.ndarray:
-    """Every pair in blocks i <= j with A_ij = 1, then the link's pairs."""
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    chunks = [np.empty((0, 2), dtype=np.int64)]
-    for i, j in zip(*np.nonzero(np.triu(A))):
-        if i == j:
-            u, v = np.triu_indices(sizes[i], 1)
-        else:
-            u, v = np.indices((sizes[i], sizes[j])).reshape(2, -1)
-        chunks.append(np.column_stack([u + offs[i], v + offs[j]]))
-    if link is not None:
-        a, b, d = link
-        u = np.repeat(np.arange(sizes[a]), d)
-        v = (u + np.tile(np.arange(d), sizes[a])) % sizes[b]
-        chunks.append(np.column_stack([u + offs[a], v + offs[b]]))
-    return np.concatenate(chunks).astype(np.int64, copy=False)
 
 
 def _duplicate_error(ends: array, lines: array):

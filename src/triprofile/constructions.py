@@ -5,7 +5,8 @@ limit.  FAMILIES gives each one its parameter domains, its exact limit
 graphon and its finite structure at n vertices: a floor-rounded blow-up,
 deterministic for 0/1 block densities and seeded otherwise.  A deterministic
 structure fixes the census as a polynomial in its part sizes, which
-finite_census evaluates without building the graph.
+finite_census evaluates without building the graph.  Every seeded graph,
+a family's or sample_w_random_graph's, is drawn here; census only counts.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import boundary
+from . import boundary, census
 from .boundary import _check_range
-from .census import (Graph, StepGraphon, TripleCensus, _Blowup, _check_seed,
-                     census_fast, graphon_densities)
+from .census import (Graph, StepGraphon, TripleCensus, census_fast,
+                     graphon_densities)
 from .errors import DomainError
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "min_triangle_graphon",
     "clique_plus_isolated_graphon",
     "blowup_graph",
+    "sample_w_random_graph",
     "realize",
     "limit_graphon",
     "finite_census",
@@ -48,12 +50,242 @@ _DROP = 1e-15
 # in memory: on one core of a 2-core Intel Xeon VM it takes 1.2 ms and peaks
 # at 1.3 MB at 128 blocks, 0.14 s and 80 MB at 1024.
 _MAX_PARTS = 128
+# Bytes an edge is charged against _DRAW_MAX_BYTES.  tracemalloc gave a
+# peak of 64 for building every family's graph at n=3000 and 6000
+# (_sampled_edges or _block_edges, then Graph.from_edges) and 66 for
+# census_fast on the graph while it is held; 84 stays above both.
+_DRAW_BYTES_PER_EDGE = 84
+# A graph whose edges would need more is refused: twice the memory of an
+# 8 GB machine.  A refused graph would peak above 12 GiB at 64 bytes an
+# edge, so no graph such a machine could build is refused.
+_DRAW_MAX_BYTES = 1 << 34
 
 log = logging.getLogger(__name__)
 
 
+def _sampled_rows(blocks: np.ndarray, P: np.ndarray, rng):
+    """Yield (i, hit) for each vertex i but the last, in order.
+
+    hit[k] says whether the pair {i, i+1+k} is joined: its uniform from
+    ``rng`` is below ``P[blocks[i], blocks[i+1+k]]``.  One uniform per
+    unordered pair, drawn in row-major order, so every seeded graph is
+    fixed by the generator's state and this draw order.  The threshold row
+    is gathered again only where blocks[i] changes: k times for k parts in
+    vertex order, so its memory is O(n).
+    """
+    n = blocks.size
+    for i in range(n - 1):
+        if i == 0 or blocks[i] != blocks[i - 1]:
+            start, thresholds = i, P[blocks[i], blocks[i + 1:]]
+        yield i, rng.random(n - 1 - i) < thresholds[i - start:]
+
+
+def _sampled_edges(blocks: np.ndarray, P: np.ndarray, rng) -> np.ndarray:
+    """The (m, 2) pairs _sampled_rows joins on vertices 0..len(blocks)-1,
+    vertex i in block ``blocks[i]``, in draw order."""
+    n = blocks.size
+    counts = np.zeros(n, dtype=np.int64)
+    vs = []
+    for i, hit in _sampled_rows(blocks, P, rng):
+        hit = np.nonzero(hit)[0]
+        counts[i] = hit.size
+        vs.append(hit + (i + 1))
+    edges = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
+    if vs:
+        np.concatenate(vs, out=edges[:, 1])
+    return edges
+
+
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative (got {seed!r})")
+
+
+def _check_draw_size(n: int, edges: float, exact: bool = False) -> None:
+    """Refuse, before anything is drawn or built, a graph whose edge count,
+    predicted for a sampled graph or exact for a 0/1 structure, would take
+    more than _DRAW_MAX_BYTES to draw and build."""
+    need = edges * _DRAW_BYTES_PER_EDGE
+    if need > _DRAW_MAX_BYTES:
+        what = (f"graph too large to build: n={n} has {edges}" if exact else
+                f"sampled graph too large to draw: n={n} would have about {edges:.3g}")
+        raise DomainError(f"{what} edges ({need:.3g} bytes at {_DRAW_BYTES_PER_EDGE}"
+                          f" an edge), over the {_DRAW_MAX_BYTES}-byte budget")
+
+
+def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
+    """Sample an n-vertex graph from a step graphon, reproducibly.
+
+    Uses numpy's default generator (PCG64) seeded with ``seed``: first n
+    uniforms assign vertices to blocks by the cumulative size distribution,
+    then one uniform per unordered pair (row-major order) decides each edge.
+    The output is deterministic given (w, n, seed).  A negative seed, n
+    above the vertex limit, or an expected d_e * C(n,2) edges beyond the
+    draw budget (see _check_draw_size) raises DomainError before anything
+    is drawn.
+    """
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
+    census._check_vertex_count(n)
+    _check_seed(seed)
+    _check_draw_size(n, float(w.sizes @ w.probs @ w.sizes) * math.comb(n, 2))
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(w.sizes)
+    blocks = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
+                        w.num_blocks - 1)
+    return Graph.from_edges(n, _sampled_edges(blocks, w.probs, rng))
+
+
+class _Blowup:
+    """A finite blow-up: part sizes in vertex order and their block densities.
+
+    ``link`` = (a, b, d) joins the equal parts a and b, whose block density
+    is 0, by the circulant of degree d: vertex i of a to vertices i, ...,
+    i+d-1 (mod size) of b, which is exactly biregular.  The ``universal``
+    vertices come last, joined to every vertex.
+    """
+
+    __slots__ = ("parts", "probs", "link", "universal")
+
+    def __init__(self, parts: list, probs: np.ndarray, link=None, universal: int = 0):
+        if any(p < 0 for p in parts):
+            raise DomainError("part sizes must be nonnegative")
+        self.parts, self.probs, self.link, self.universal = parts, probs, link, universal
+
+    @property
+    def deterministic(self) -> bool:
+        return bool(np.all((self.probs == 0) | (self.probs == 1)))
+
+    def blocks(self) -> tuple:
+        """(sizes, densities) with the universal vertices as a last part."""
+        k = len(self.parts)
+        A = np.ones((k + 1, k + 1))
+        A[:k, :k] = self.probs
+        return list(self.parts) + [self.universal], A
+
+    def graph(self, seed: int) -> Graph:
+        """The graph.  Fractional densities are sampled by _sampled_edges
+        (PCG64 from ``seed``); the universal vertices are joined afterwards,
+        so they draw nothing.  A negative seed raises DomainError, and so
+        does a graph whose edges exceed the draw budget (see
+        _check_draw_size), before anything is drawn or built: a 0/1
+        structure's exact edge count, or a sampled graph's predicted one,
+        the mean plus 6 standard deviations from the part sizes."""
+        _check_seed(seed)
+        sizes, A = self.blocks()
+        n = sum(sizes)
+        census._check_vertex_count(n)
+        if self.deterministic:
+            _check_draw_size(n, self._structure_counts()[0], exact=True)
+            return Graph.from_edges(n, _block_edges(sizes, A, self.link))
+        nv = np.array(sizes, dtype=float)
+        pairs = (np.outer(nv, nv) - np.diag(nv)) / 2
+        _check_draw_size(n, float((pairs * A).sum())
+                         + 6 * math.sqrt(float((pairs * A * (1 - A)).sum())))
+        blocks = np.repeat(np.arange(len(self.parts)), self.parts)
+        edges = _sampled_edges(blocks, self.probs, np.random.default_rng(seed))
+        if self.universal:
+            edges = np.concatenate([edges, _block_edges(
+                [n - self.universal, self.universal], np.array([[0, 1], [1, 1]]))])
+        return Graph.from_edges(n, edges)
+
+    def census(self, seed: int) -> tuple:
+        """(path, census of graph(seed)), in exact integers.
+
+        The path is "structure" for 0/1 densities below 2^63 vertices (see
+        _structure_counts), "bitset" for sampled densities while the bitset
+        of n * ceil(n/64) words fits in census._BITSET_MAX_BYTES, the cap
+        census_fast's own bitset kernel keeps (census._upper_census of
+        bitset(seed)), and otherwise "graph": census_fast(graph(seed)).
+        Other than by the structure, a blow-up above the vertex limit raises
+        DomainError before anything is allocated.
+        """
+        n = sum(self.parts) + self.universal
+        if self.deterministic and n < 1 << 63:
+            return "structure", census._census(n, *self._structure_counts())
+        census._check_vertex_count(n)
+        if n * ((n + 63) >> 6) * 8 <= census._BITSET_MAX_BYTES:
+            return "bitset", census._upper_census(self.bitset(seed))
+        return "graph", census_fast(self.graph(seed))
+
+    def bitset(self, seed: int) -> np.ndarray:
+        """The upper-triangular bitset of graph(seed), n * ceil(n/64) words.
+
+        Row i holds the neighbours of vertex i above i, packed from the
+        pairs _sampled_rows joins, in the draw order of graph(seed); the
+        universal vertices' columns are set in every base row, and their own
+        rows are complete.  No edge list is kept.
+        """
+        base = sum(self.parts)
+        n = base + self.universal
+        words = (n + 63) >> 6
+        rows = np.zeros((n, words), dtype=np.uint64)
+        packed = rows.view(np.uint8)    # column c is bit c % 8 of byte c // 8
+        row = np.zeros(words * 64, dtype=bool)
+        row[base:n] = True
+        blocks = np.repeat(np.arange(len(self.parts)), self.parts)
+        sampled = _sampled_rows(blocks, self.probs, np.random.default_rng(seed))
+        for i in range(n - 1):
+            row[i] = False      # the columns below i+1 are clear from here on
+            if i < base - 1:
+                row[i + 1:base] = next(sampled)[1]
+            packed[i] = np.packbits(row, bitorder="little")
+        return rows
+
+    def _structure_counts(self) -> tuple:
+        """(m, p2, t) of a deterministic blow-up (see census_fast), in exact
+        integers.
+
+        With A the 0/1 block matrix, B its off-diagonal part, n_i the part
+        sizes and c_ij = sum_k B_ik n_k B_kj (the parts joined to both i and
+        j), a vertex of part i has degree D_i = sum_j A_ij n_j - A_ii, and
+        the triangles are sum_i A_ii C(n_i,3) + sum_{i!=j} A_ii A_ij
+        C(n_i,2) n_j + sum_{i,j} n_i n_j B_ij c_ij / 6.  The link adds d to
+        the degrees in parts a and b, and (A_aa n_a + A_bb n_b) C(d,2) +
+        n_a d c_ab triangles.  The block sums are int64: exact below 2^63
+        vertices.
+        """
+        sizes, A = self.blocks()
+        A = A.astype(np.int64)
+        nv = np.array(sizes, dtype=np.int64)
+        B = A - np.diag(np.diag(A))
+        c = ((B * nv) @ B).tolist()
+        a, row = np.diag(A).tolist(), (A @ nv).tolist()
+        deg = [r - ai for r, ai in zip(row, a)]
+        t = sum(ai * (math.comb(ni, 3) + math.comb(ni, 2) * (r - ai * ni))
+                for ni, ai, r in zip(sizes, a, row))
+        t += sum(sizes[i] * sizes[j] * c[i][j] for i, j in zip(*np.nonzero(B))) // 6
+        if self.link is not None:
+            i, j, d = self.link
+            deg[i] += d
+            deg[j] += d
+            t += (a[i] * sizes[i] + a[j] * sizes[j]) * math.comb(d, 2) + sizes[i] * d * c[i][j]
+        m = sum(ni * di for ni, di in zip(sizes, deg)) // 2
+        p2 = sum(ni * math.comb(di, 2) for ni, di in zip(sizes, deg) if ni)
+        return m, p2, t
+
+
+def _block_edges(sizes, A, link=None) -> np.ndarray:
+    """Every pair in blocks i <= j with A_ij = 1, then the link's pairs."""
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    for i, j in zip(*np.nonzero(np.triu(A))):
+        if i == j:
+            u, v = np.triu_indices(sizes[i], 1)
+        else:
+            u, v = np.indices((sizes[i], sizes[j])).reshape(2, -1)
+        chunks.append(np.column_stack([u + offs[i], v + offs[j]]))
+    if link is not None:
+        a, b, d = link
+        u = np.repeat(np.arange(sizes[a]), d)
+        v = (u + np.tile(np.arange(d), sizes[a])) % sizes[b]
+        chunks.append(np.column_stack([u + offs[a], v + offs[b]]))
+    return np.concatenate(chunks).astype(np.int64, copy=False)
+
+
 def _graphon(sizes, probs) -> StepGraphon:
-    """Build a step graphon, dropping zero-weight blocks."""
+    """Build a step graphon, dropping blocks of weight at most _DROP."""
     s = np.asarray(sizes, dtype=float)
     P = np.asarray(probs, dtype=float)
     keep = s > _DROP
@@ -137,10 +369,7 @@ def _g0_blowup(n: int, x: float) -> _Blowup:
 
 def g0_graph(x: float, n: int, seed: int = 0) -> Graph:
     """Finite n-vertex realization of g0_graphon(x) (see _g0_blowup)."""
-    x = _check_range("x", x, -0.25, 0.25)
-    if n < 8:
-        raise DomainError("need n >= 8")
-    return _g0_blowup(n, x).graph(seed)
+    return realize(FamilySpec("g0", {"x": x}, n=n, seed=seed))
 
 
 def g1_graphon(a: float, x: float) -> StepGraphon:
@@ -177,11 +406,7 @@ def _g1_blowup(n: int, a: float, x: float) -> _Blowup:
 
 def g1_graph(a: float, x: float, n: int, seed: int = 0) -> Graph:
     """g0_graph on ceil((1-a) n) vertices plus floor(a n) universal vertices."""
-    a = _check_range("a", a, 0.0, 1.0)
-    x = _check_range("x", x, -0.25, 0.25)
-    if n < 8:
-        raise DomainError("need n >= 8")
-    return _g1_blowup(n, a, x).graph(seed)
+    return realize(FamilySpec("g1", {"a": a, "x": x}, n=n, seed=seed))
 
 
 def g2_graphon(a: float, p: float) -> StepGraphon:
@@ -273,11 +498,6 @@ def clique_plus_isolated_graphon(a: float, complemented: bool = False) -> StepGr
     return _graphon([a, 1.0 - a], P)
 
 
-def _two_parts(n: int, a: float, probs) -> _Blowup:
-    k = int(a * n)
-    return _Blowup([k, n - k], np.array(probs))
-
-
 def _multipartite_blowup(n: int, a: float, b: float) -> _Blowup:
     """Isolated part int((1-b) n); floor(1/a) parts of int(a b n) and the
     rest of the multipartite mass, or for a = 0 one clique."""
@@ -295,6 +515,7 @@ def _multipartite_blowup(n: int, a: float, b: float) -> _Blowup:
 
 
 def _blowup(w: StepGraphon, n: int) -> _Blowup:
+    """Floor-sized parts of w's blocks, the leftover vertices to the last."""
     parts = [int(s * n) for s in w.sizes]
     parts[-1] += n - sum(parts)
     return _Blowup(parts, w.probs)
@@ -312,11 +533,13 @@ def blowup_graph(w: StepGraphon, n: int, seed: int = 0) -> Graph:
 class Family(NamedTuple):
     """One construction family: each parameter's (lo, hi, hi_open) domain,
     the limit graphon and the finite blow-up at n vertices (both called with
-    the parameters as keywords), and the parameters that take only 0 or 1."""
+    the parameters as keywords), and the parameters that take only 0 or 1.
+    Without a blow-up of its own, a family is realized as _blowup of its
+    limit graphon."""
 
     domains: dict
     graphon: Callable[..., StepGraphon]
-    blowup: Callable[..., _Blowup]
+    blowup: Optional[Callable[..., _Blowup]] = None
     flags: tuple = ()
 
 
@@ -326,17 +549,13 @@ _X = (-0.25, 0.25, False)
 FAMILIES = {
     "g0": Family({"x": _X}, g0_graphon, _g0_blowup),
     "g1": Family({"a": _UNIT, "x": _X}, g1_graphon, _g1_blowup),
-    "g2": Family({"a": _UNIT, "p": _UNIT}, g2_graphon,
-                 lambda n, a, p: _two_parts(n, a, [[1.0, p], [p, 1.0 - p]])),
-    "s12": Family({"a": _UNIT, "p": _UNIT}, s12_graphon,
-                  lambda n, a, p: _two_parts(n, a, [[p, 1.0 - p], [1.0 - p, p]])),
+    "g2": Family({"a": _UNIT, "p": _UNIT}, g2_graphon),
+    "s12": Family({"a": _UNIT, "p": _UNIT}, s12_graphon),
     "multipartite": Family({"a": (0.0, 0.5, False), "b": _UNIT}, s23_graphon,
                            _multipartite_blowup),
-    "min-triangle": Family({"de": (0.5, 1.0, True)}, lambda de: min_triangle_graphon(de),
-                           lambda n, de: _blowup(min_triangle_graphon(de), n)),
-    "clique-isolated": Family(
-        {"a": _UNIT, "complemented": _UNIT}, clique_plus_isolated_graphon,
-        lambda n, **p: _blowup(clique_plus_isolated_graphon(**p), n), ("complemented",)),
+    "min-triangle": Family({"de": (0.5, 1.0, True)}, lambda de: min_triangle_graphon(de)),
+    "clique-isolated": Family({"a": _UNIT, "complemented": _UNIT},
+                              clique_plus_isolated_graphon, flags=("complemented",)),
 }
 
 
@@ -380,7 +599,10 @@ def limit_graphon(spec: FamilySpec) -> StepGraphon:
 def _finite(spec: FamilySpec) -> _Blowup:
     if spec.n is None or spec.n < 8:
         raise DomainError("realization needs n >= 8")
-    return FAMILIES[spec.family].blowup(spec.n, **spec.params)
+    fam = FAMILIES[spec.family]
+    if fam.blowup is None:
+        return _blowup(fam.graphon(**spec.params), spec.n)
+    return fam.blowup(spec.n, **spec.params)
 
 
 def realize(spec: FamilySpec) -> Graph:
@@ -403,8 +625,8 @@ def finite_census(spec: FamilySpec, graph: Optional[Graph] = None) -> TripleCens
     """
     bl = _finite(spec)
     if graph is None or bl.deterministic:
-        path, census = bl.census(0 if spec.seed is None else spec.seed)
+        path, counts = bl.census(0 if spec.seed is None else spec.seed)
     else:
-        path, census = "graph", census_fast(graph)
+        path, counts = "graph", census_fast(graph)
     log.debug("finite census: family=%s n=%d path=%s", spec.family, spec.n, path)
-    return census
+    return counts

@@ -48,6 +48,14 @@ __all__ = [
 ALPHA_LO = 2.0
 ALPHA_HI = 1.0 + math.sqrt(2.0)
 _SUM_TOL = 1e-12
+# Bytes maximize_grid holds per point of its (grid+1)^2 index square:
+# tracemalloc peaked at 53 for grids 400, 1000 and 2000.
+_GRID_BYTES_PER_POINT = 53
+# A grid that would need more is refused before anything is allocated: half
+# the memory of an 8 GB machine, so grids up to 9001 are scanned.
+_GRID_MAX_BYTES = 1 << 32
+# Polish sweeps before refinement is declared not to converge.
+_POLISH_SWEEPS = 10000
 
 
 def validate_alpha(alpha: float) -> float:
@@ -348,7 +356,7 @@ _MOVES = (
 )
 
 
-def _polish(x, a: float, refine_tol: float, bracket: float, max_iter: int = 10000):
+def _polish(x, a: float, refine_tol: float, bracket: float):
     """Golden-section ascent along simplex-tangent directions.
 
     Each move line-searches x + t*w over the segment keeping every
@@ -363,7 +371,7 @@ def _polish(x, a: float, refine_tol: float, bracket: float, max_iter: int = 1000
         return _term(p[0], a) + _term(p[1], a) + _term(p[2], a)
 
     best = val(x)
-    for sweep in range(max_iter):
+    for sweep in range(_POLISH_SWEEPS):
         for w in _MOVES:
             lo, hi = -bracket, bracket
             for xk, wk in zip(x, w):
@@ -404,7 +412,7 @@ def _polish(x, a: float, refine_tol: float, bracket: float, max_iter: int = 1000
         if sweep > 0 and new - last <= refine_tol:
             return x, new
         last = new
-    raise RuntimeError(f"refinement did not converge within {max_iter} iterations")
+    raise RuntimeError(f"refinement did not converge within {_POLISH_SWEEPS} iterations")
 
 
 def maximize_grid(alpha: float, grid: int = 400,
@@ -416,11 +424,17 @@ def maximize_grid(alpha: float, grid: int = 400,
     1/grid; the best point with all coordinates at most 1/2 (the closure of
     the strictly feasible set, on which the same maximum is attained) is
     refined by golden-section coordinate descent.  Ties among permuted
-    maximizers are resolved by sorting x ascending.
+    maximizers are resolved by sorting x ascending.  A grid whose scan would
+    need more than _GRID_MAX_BYTES raises DomainError before allocating.
     """
     a = validate_alpha(alpha)
     if grid < 50:
         raise DomainError("grid must be at least 50")
+    need = (grid + 1) ** 2 * _GRID_BYTES_PER_POINT
+    if need > _GRID_MAX_BYTES:
+        raise DomainError(f"grid {grid} too large: its scan would need {need:.3g} bytes "
+                          f"({_GRID_BYTES_PER_POINT} a point), over the "
+                          f"{_GRID_MAX_BYTES}-byte budget")
     idx = np.arange(grid + 1)
     i, j = np.meshgrid(idx, idx, indexing="ij")
     keep = (i + j) <= grid

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import boundary, constructions, optimizer
 from .census import (Graph, StepGraphon, census_brute, census_fast, densities,
-                     graphon_densities, graphon_densities_brute,
-                     sample_w_random_graph)
+                     graphon_densities, graphon_densities_brute)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "random_step_graphon"]
 
@@ -64,7 +63,7 @@ def random_step_graphon(rng: np.random.Generator, max_blocks: int = 4) -> StepGr
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     w = StepGraphon([1.0], [[p]])
-    return sample_w_random_graph(w, n, int(rng.integers(0, 2 ** 31)))
+    return constructions.sample_w_random_graph(w, n, int(rng.integers(0, 2 ** 31)))
 
 
 def min_region_slack(d, tol: float) -> float:

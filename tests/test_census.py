@@ -528,6 +528,21 @@ class TestGoldenCSR:
         assert csr_sha256(g) == (
             "67d1417f9a711de610eb8ce3f10bb42174df44b28332e55cd9190c0ac82f575a")
 
+    @pytest.mark.parametrize("family,params,digest", [
+        ("g2", {"a": 0.3, "p": 0.6},
+         "b6ad7d6516dfa3fe60a19f8b5dee1325a7b6b910a1d6dd8249896a9499b37b4f"),
+        ("g2", {"a": 0.3, "p": 1.0},
+         "a830169cfa9a1f1f9893b0de8cbe7a72e72b12cfa36d752f1a9c1b9d99bdb15b"),
+        ("s12", {"a": 0.5, "p": 0.3},
+         "d52236d0fdb29ed805b77578fd8244cd43104db8a59f19532e0d888b5328dbc9"),
+        ("s12", {"a": 0.5, "p": 1.0},
+         "276380ac1298e098eba0c2843d51340286f7f6ba8198169f72d26575fccff2aa"),
+    ])
+    def test_realize_two_blocks(self, family, params, digest):
+        # the floor-rounded blow-up of the limit graphon, sampled and 0/1
+        g = realize(FamilySpec(family, params, n=400, seed=5))
+        assert csr_sha256(g) == digest
+
     def test_complete(self):
         assert csr_sha256(Graph.complete(50)) == (
             "2301b88681b7252b3117d9683aed7b7f92f7b2be967c902d55919573f78537fc")

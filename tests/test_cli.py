@@ -355,6 +355,16 @@ class TestOptimize:
         assert "corner x=(0,0,1)" in out
         assert "one zero, x2=x3=1/2" in out
 
+    def test_grid_too_large_exit_1(self):
+        # its index square alone would need 74.5 GiB: refused before any
+        # allocation, even under a 2 GB address-space limit
+        done = run_limited(2_000_000 * 1024, "optimize", "--alpha", "2.2",
+                           "--grid", "100000")
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            "error: grid 100000 too large: its scan would need 5.3e+11 bytes "
+            "(53 a point), over the 4294967296-byte budget\n")
+
 
 class TestVerify:
     def test_census_suite(self, capsys):

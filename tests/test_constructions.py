@@ -18,6 +18,7 @@ from triprofile import (FAMILIES, DomainError, FamilySpec, Graph, StepGraphon,
                         s23_graphon, linked_cliques_cross_density,
                         linked_cliques_sigma_for_triangle)
 from triprofile import census as census_module
+from triprofile import constructions
 
 
 def profile_pair(w):
@@ -454,7 +455,7 @@ class TestFiniteCensus:
         # AND/popcount kernel over the bitset's edges is its oracle
         spec = FamilySpec(family, params, n=n, seed=3)
         g = realize(spec)
-        rows = FAMILIES[family].blowup(n, **params).bitset(3)
+        rows = constructions._finite(spec).bitset(3)
         fwd = np.bitwise_count(rows).sum(axis=1)
         u, v = np.nonzero(np.unpackbits(rows.view(np.uint8), axis=1, count=n,
                                         bitorder="little"))
@@ -480,9 +481,9 @@ class TestFiniteCensus:
         # across at 0.7, so 2485 edges expected, standard deviation
         # sqrt(4950 * 0.21), and 2678.4 predicted with 6 deviations
         spec = FamilySpec("s12", {"a": 0.5, "p": 0.3}, n=100, seed=0)
-        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * 2679)
+        monkeypatch.setattr(constructions, "_DRAW_MAX_BYTES", 84 * 2679)
         g = realize(spec)
-        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * 2678)
+        monkeypatch.setattr(constructions, "_DRAW_MAX_BYTES", 84 * 2678)
         with pytest.raises(DomainError, match=r"n=100 would have about 2\.68e\+03 edges"):
             realize(spec)
         # the bitset path draws no graph, so no budget holds it back
@@ -497,15 +498,15 @@ class TestFiniteCensus:
         # counted from its structure whatever the budget
         spec = FamilySpec(family, params, n=100)
         g = realize(spec)
-        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * g.m)
+        monkeypatch.setattr(constructions, "_DRAW_MAX_BYTES", 84 * g.m)
         assert realize(spec) == g
-        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 84 * (g.m - 1))
+        monkeypatch.setattr(constructions, "_DRAW_MAX_BYTES", 84 * (g.m - 1))
         with pytest.raises(DomainError) as err:
             realize(spec)
         assert str(err.value) == (
             f"graph too large to build: n=100 has {g.m} edges ({84 * g.m:.3g} bytes "
             f"at 84 an edge), over the {84 * (g.m - 1)}-byte budget")
-        monkeypatch.setattr(census_module, "_DRAW_MAX_BYTES", 0)
+        monkeypatch.setattr(constructions, "_DRAW_MAX_BYTES", 0)
         assert finite_census(spec) == census_fast(g)
 
     def test_structure_too_large_to_build(self):
@@ -533,7 +534,7 @@ class TestFiniteCensus:
         def draw(*args):
             raise Drawn
 
-        monkeypatch.setattr(census_module, "_sampled_edges", draw)
+        monkeypatch.setattr(constructions, "_sampled_edges", draw)
         spec = FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=n, seed=1)
         with pytest.raises(DomainError if refused else Drawn):
             realize(spec)

@@ -1,12 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from triprofile import (DomainError, analytic_candidates, closed_form_max,
                         linked_cliques_profile, maximize_grid, objective,
                         optimal_sigma, s13_upper_bound, s13_upper_slope,
-                        stationarity_residual, stationary_y, validate_alpha)
+                        stationarity_residual, stationary_y)
+from triprofile import optimizer
 from triprofile.optimizer import (ALPHA_HI, FeasiblePoint, _term,
                                   _term_eliminated)
 
@@ -150,6 +149,16 @@ class TestMaximizeGrid:
                 maximize_grid(bad)
         with pytest.raises(DomainError):
             maximize_grid(2.2, grid=10)
+
+    def test_grid_budget(self, monkeypatch):
+        # 53 bytes for each of the 51^2 index points of grid 50: scanned at a
+        # budget of exactly that, refused one byte below
+        monkeypatch.setattr(optimizer, "_GRID_MAX_BYTES", 53 * 51 ** 2)
+        assert maximize_grid(2.2, grid=50).value > 0
+        monkeypatch.setattr(optimizer, "_GRID_MAX_BYTES", 53 * 51 ** 2 - 1)
+        with pytest.raises(DomainError, match="^grid 50 too large: its scan would need "
+                                              "1.38e"):
+            maximize_grid(2.2, grid=50)
 
     def test_residual_at_analytic_optimum(self):
         for a in ALPHAS:
