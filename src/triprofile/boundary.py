@@ -130,7 +130,9 @@ def _solve(f: Callable[[float], float], df: Callable[[float], float],
     evaluation has moved lands on that end, so a root at the end of the
     range is hit exactly instead of being crept up on by bisection.  Stops
     at an exact hit, or once the bracket or a Newton step is within SOLVE_TOL;
-    ``start`` (default: the midpoint) is clamped into the bracket.
+    ``start`` (default: the midpoint) is clamped into the bracket.  On an f
+    that is not monotone it ends where f - target changes sign from below
+    to above, or at an end of [lo, hi].
     """
     bottom, top = lo, hi
     x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
@@ -228,8 +230,9 @@ def min_triangle_density_inverse(t: float) -> float:
     The envelope is smooth between its breakpoints T(k) = (k-1)(k-2)/k^2 at
     d_e = 1 - 1/k.  The piece holding t, the smallest k >= 3 with
     T(k) >= t, is found in O(1); the solve then runs on that piece alone,
-    with slope dt/dd_e = 3(1-z)(k-2)/(k-1).  The result is within
-    SOLVE_TOL of the exact inverse.
+    with slope dt/dd_e = 3(1-z)(k-2)/(k-1), starting from the trigonometric
+    root of the piece's cubic, which it confirms in one evaluation.  The
+    result is within SOLVE_TOL of the exact inverse.
     """
     t = _check_range("triangle density", t, 0.0, 1.0)
     if t == 0.0:
@@ -245,9 +248,16 @@ def min_triangle_density_inverse(t: float) -> float:
         k -= 1
     while (3 * k - 2) / (k * k) > gap:
         k += 1
+    # with r = 1 - kz and u = r/(k-1) the piece is the cubic
+    # t = T(k)(1 - 3u^2 - 2u^3); cos(3q) = 4cos(q)^3 - 3cos(q) gives its root
+    # u = cos(arccos(1 - 2t/T(k))/3) - 1/2, and d_e = ((k-2) + (1-r^2)/k)/(k-1)
+    # inverts _partition_z, so the solve starts within round-off of the root
+    top = (k - 1) * (k - 2) / (k * k)
+    r = (k - 1) * (math.cos(math.acos(max(-1.0, 1.0 - 2.0 * t / top)) / 3.0) - 0.5)
     return _solve(lambda d: _piece_triangles(_partition_z(d, k), k),
                   lambda d: 3.0 * (1.0 - _partition_z(d, k)) * (k - 2) / (k - 1),
-                  1.0 - 1.0 / (k - 1), 1.0 - 1.0 / k, t)
+                  1.0 - 1.0 / (k - 1), 1.0 - 1.0 / k, t,
+                  start=((k - 2) + (1.0 - r * r) / k) / (k - 1))
 
 
 def linked_cliques_cross_density(sigma: float) -> float:
@@ -500,6 +510,16 @@ def _s03_crossover() -> float:
     return _solve(diff, slope, 0.2, 0.35, 0.0)
 
 
+# Smooth pieces of each region's boundary polyline, count rows apiece.
+_BOUNDARY_PIECES = {Region.S12: 3, Region.S13: 6, Region.S23: 3, Region.S03: 5}
+# Bytes sample_boundary holds per row: tracemalloc peaked at 137-156 for
+# every region at 10^4 to 4*10^5 samples.
+_SAMPLE_BYTES_PER_ROW = 156
+# A sample that would need more is refused before anything is allocated:
+# half the memory of an 8 GB machine.
+_SAMPLE_MAX_BYTES = 1 << 32
+
+
 def _grid(lo: float, hi: float, count: int) -> list:
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count - 1)] + [hi]
@@ -511,11 +531,20 @@ def sample_boundary(region, count: int) -> list:
     Returns (param, x, y, branch) tuples; every smooth piece carries at
     least ``count`` points and consecutive pieces share their junction
     point.  ``param`` is the natural parameter of the piece (the curve
-    coordinate on curved pieces, a 0..1 sweep on straight edges).
+    coordinate on curved pieces, a 0..1 sweep on straight edges).  A count
+    whose rows would need more than _SAMPLE_MAX_BYTES raises DomainError
+    before allocating.
     """
     if count < 2:
         raise DomainError("count must be at least 2")
     canonical, _ = parse_region(region)
+    pieces = _BOUNDARY_PIECES[canonical]
+    need = count * pieces * _SAMPLE_BYTES_PER_ROW
+    if need > _SAMPLE_MAX_BYTES:
+        raise DomainError(f"{count} samples too large: the {pieces} pieces of "
+                          f"{canonical.value} would need {need:.3g} bytes "
+                          f"({_SAMPLE_BYTES_PER_ROW} a row), over the "
+                          f"{_SAMPLE_MAX_BYTES}-byte budget")
     rows = []
 
     def seg(branch, x0, y0, x1, y1):

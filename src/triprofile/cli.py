@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import sys
 
@@ -68,21 +69,25 @@ def cmd_census(args) -> int:
 
 
 def _write_lines(lines, out) -> None:
-    """Write lines to stdout when out is None or "-", else to the file out."""
-    payload = "\n".join(lines) + "\n"
+    """Write lines to stdout when out is None or "-", else to the file out.
+
+    Lines are written one at a time, so an iterable of them is never held
+    whole.
+    """
     if out in (None, "-"):
-        sys.stdout.write(payload)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(payload)
+            f.writelines(f"{line}\n" for line in lines)
 
 
 def cmd_boundary(args) -> int:
     if args.samples < 2:
         raise DomainError("--samples must be at least 2")
     rows = bnd.sample_boundary(args.region, args.samples)
-    lines = ["param,x,y,branch"]
-    lines += [f"{_fmt(p)},{_fmt(x)},{_fmt(y)},{branch}" for p, x, y, branch in rows]
+    lines = itertools.chain(
+        ["param,x,y,branch"],
+        (f"{_fmt(p)},{_fmt(x)},{_fmt(y)},{branch}" for p, x, y, branch in rows))
     _write_lines(lines, args.out)
     return 0
 

@@ -343,9 +343,6 @@ def stationarity_residual(point: FeasiblePoint, alpha: float,
     return residual
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 # simplex-tangent search directions: mass moves between a pair, and the
 # symmetric split of one coordinate into the other two (the latter escapes
 # pairwise-stationary saddle points, which matter when two stationary
@@ -356,14 +353,39 @@ _MOVES = (
 )
 
 
-def _polish(x, a: float, refine_tol: float, bracket: float):
-    """Golden-section ascent along simplex-tangent directions.
+def _term_slopes(x: float, a: float) -> tuple:
+    """First and second derivatives of _term at one Python float.
 
-    Each move line-searches x + t*w over the segment keeping every
-    coordinate inside [0, 1/2] and |t| <= bracket.  Stops when a full
-    sweep improves the value by less than refine_tol; errors out at the
-    iteration cap.  Works on Python floats: three scalar terms per
-    evaluation.  Returns (x as a tuple, value).
+    With c(y) = 3 - a - 3(3-a) y - 3(a-1) y^2 the term is x^3 c(y) + 3 x^2 y.
+    On the pinned branches y is constant; on the interior one the term's
+    y-derivative is 0, so (envelope theorem) the first derivative is
+    3x^2 c(y) + 6xy on every branch.  The second is 6x c(y) + 6y, plus, on
+    the interior branch, 3/(2(a-1)x) from y moving with x.  The first
+    derivative is continuous at both junctions, the second jumps there.
+    """
+    if x <= 1.0 / (a + 1.0):
+        y, moving = 1.0, 0.0
+    elif x >= 0.5:
+        y, moving = 0.5, 0.0
+    else:
+        y = (1.0 / x - (3.0 - a)) / (2.0 * (a - 1.0))
+        moving = 1.5 / ((a - 1.0) * x)
+    c = 3.0 - a - 3.0 * (3.0 - a) * y - 3.0 * (a - 1.0) * y ** 2
+    return 3.0 * x * x * c + 6.0 * x * y, 6.0 * x * c + 6.0 * y + moving
+
+
+def _polish(x, a: float, refine_tol: float, bracket: float):
+    """Newton line searches along simplex-tangent directions.
+
+    Each move finds a local maximum of g(t) = F(x + t*w) over the segment
+    keeping every coordinate inside [0, 1/2] and |t| <= bracket, by
+    boundary._solve on -g'(t) from t = 0: the safeguarded Newton solver
+    keeps a bracket on the sign change of g', so it ends where g' is zero
+    to round-off or at an end of the segment.  A move is taken only when
+    it improves the value.  Stops when a full sweep improves the value by
+    less than refine_tol; errors out at the iteration cap.  Works on Python
+    floats: three scalar terms per value, three slopes per line-search
+    step.  Returns (x as a tuple, value).
     """
     x = tuple(float(v) for v in x)
 
@@ -385,24 +407,19 @@ def _polish(x, a: float, refine_tol: float, bracket: float):
                 continue
             x0, x1, x2 = x
             w0, w1, w2 = w
+            rate = 0.0
 
-            def f(t):
-                return (_term(x0 + t * w0, a) + _term(x1 + t * w1, a)
-                        + _term(x2 + t * w2, a))
+            def descent(t):
+                # -g'(t); its slope -g''(t) is kept for _solve's slope
+                # call, which always follows at the same t
+                nonlocal rate
+                d0, s0 = _term_slopes(x0 + t * w0, a)
+                d1, s1 = _term_slopes(x1 + t * w1, a)
+                d2, s2 = _term_slopes(x2 + t * w2, a)
+                rate = -(w0 * w0 * s0 + w1 * w1 * s1 + w2 * w2 * s2)
+                return -(w0 * d0 + w1 * d1 + w2 * d2)
 
-            c = hi - _GOLDEN * (hi - lo)
-            d = lo + _GOLDEN * (hi - lo)
-            fc, fd = f(c), f(d)
-            while hi - lo > 1e-13:
-                if fc > fd:
-                    hi, d, fd = d, c, fc
-                    c = hi - _GOLDEN * (hi - lo)
-                    fc = f(c)
-                else:
-                    lo, c, fc = c, d, fd
-                    d = lo + _GOLDEN * (hi - lo)
-                    fd = f(d)
-            t = 0.5 * (lo + hi)
+            t = boundary._solve(descent, lambda t: rate, lo, hi, 0.0, start=0.0)
             trial = tuple(min(max(xk + t * wk, 0.0), 0.5)
                           for xk, wk in zip(x, w))
             if val(trial) > best:
@@ -423,9 +440,10 @@ def maximize_grid(alpha: float, grid: int = 400,
     since F is concave in each y_j).  The full simplex is scanned with step
     1/grid; the best point with all coordinates at most 1/2 (the closure of
     the strictly feasible set, on which the same maximum is attained) is
-    refined by golden-section coordinate descent.  Ties among permuted
-    maximizers are resolved by sorting x ascending.  A grid whose scan would
-    need more than _GRID_MAX_BYTES raises DomainError before allocating.
+    refined by Newton line searches along simplex-tangent directions (see
+    _polish).  Ties among permuted maximizers are resolved by sorting x
+    ascending.  A grid whose scan would need more than _GRID_MAX_BYTES
+    raises DomainError before allocating.
     """
     a = validate_alpha(alpha)
     if grid < 50:

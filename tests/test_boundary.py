@@ -200,6 +200,12 @@ class TestInverseOracles:
             for x in np.linspace(lo, hi, 401)[1:-1]:
                 inverse(float(x))
             assert len(calls) == 399 and max(calls) <= 10, inverse.__name__
+        # the envelope's solve starts at its cubic's closed-form root and
+        # only confirms it
+        calls.clear()
+        for t in np.linspace(0.0, 1.0, 20001)[1:-1]:
+            min_triangle_density_inverse(float(t))
+        assert len(calls) == 19999 and set(calls) == {1}
         # roots at or next to a bracket end (an envelope piece starts at
         # each breakpoint), and tiny d0, where the cubic's closed-form root
         # rounds to 0: the oracle tests above check these values
@@ -209,7 +215,8 @@ class TestInverseOracles:
                            *((min_triangle_density_inverse, t) for t in ABOVE_BREAKPOINTS)):
             calls.clear()
             inverse(x)
-            assert len(calls) == 1 and calls[0] <= 10, (inverse.__name__, x)
+            most = 1 if inverse is min_triangle_density_inverse else 10
+            assert len(calls) == 1 and calls[0] <= most, (inverse.__name__, x)
 
     def test_s03_crossover(self):
         def diff(d0):
@@ -445,6 +452,19 @@ class TestSampleBoundary:
         assert all(len(v) >= 17 for v in by_branch.values())
         with pytest.raises(DomainError):
             sample_boundary("s12", 1)
+
+    @pytest.mark.parametrize("region,pieces", [("s12", 3), ("s13", 6), ("s23", 3),
+                                               ("s03", 5)])
+    def test_sample_budget(self, monkeypatch, region, pieces):
+        # count rows for each smooth piece, 156 bytes a row: sampled at a
+        # budget of exactly that, refused one byte below
+        assert len(sample_boundary(region, 40)) == 40 * pieces
+        monkeypatch.setattr(boundary, "_SAMPLE_MAX_BYTES", 40 * pieces * 156)
+        assert len(sample_boundary(region, 40)) == 40 * pieces
+        monkeypatch.setattr(boundary, "_SAMPLE_MAX_BYTES", 40 * pieces * 156 - 1)
+        with pytest.raises(DomainError, match=f"^40 samples too large: the {pieces} "
+                                              f"pieces of {region} would need "):
+            sample_boundary(region, 40)
 
 
 class TestSoundness:

@@ -189,6 +189,18 @@ class TestBoundary:
         code, _, _ = run(capsys, "boundary", "--region", "s99", "--samples", "10")
         assert code == 1
 
+    def test_samples_too_large_exit_1(self, tmp_path):
+        # its rows alone would need 936 GB: refused before any allocation,
+        # even under a 1 GB address-space limit
+        out = tmp_path / "b.csv"
+        done = run_limited(1 << 30, "boundary", "--region", "s13",
+                           "--samples", "1000000000", "--out", str(out))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            "error: 1000000000 samples too large: the 6 pieces of s13 would need "
+            "9.36e+11 bytes (156 a row), over the 4294967296-byte budget\n")
+        assert not out.exists()
+
 
 class TestConstruct:
     def test_multipartite(self, capsys, tmp_path):

@@ -5,9 +5,9 @@ from triprofile import (DomainError, analytic_candidates, closed_form_max,
                         linked_cliques_profile, maximize_grid, objective,
                         optimal_sigma, s13_upper_bound, s13_upper_slope,
                         stationarity_residual, stationary_y)
-from triprofile import optimizer
+from triprofile import boundary, optimizer
 from triprofile.optimizer import (ALPHA_HI, FeasiblePoint, _term,
-                                  _term_eliminated)
+                                  _term_eliminated, _term_slopes)
 
 ALPHAS = (2.05, 2.1, 2.2, 2.3, 2.41)
 
@@ -201,6 +201,78 @@ class TestMaximizeGrid:
             want = _term_eliminated(xs, a)
             got = np.array([_term(float(x), a) for x in xs])
             assert np.max(np.abs(got - want)) <= 4e-16
+
+    def test_slopes_match_central_differences(self):
+        # the polish's Newton steps use _term_slopes; check both derivatives
+        # against central differences of _term over [0, 1/2] and just either
+        # side of the junctions, where the second derivative jumps
+        for a in ALPHAS:
+            junctions = (1.0 / (a + 1.0), 0.5)
+            near = [j + s * d for j in junctions for s in (-1, 1)
+                    for d in (1e-3, 3e-4)]
+            for x in list(np.linspace(0.0, 0.5, 1001)) + near:
+                x = float(x)
+                first, second = _term_slopes(x, a)
+                gap = min(abs(x - j) for j in junctions)
+                h = 1e-6
+                if gap >= 2 * h:
+                    fd = (_term(x + h, a) - _term(x - h, a)) / (2 * h)
+                    assert abs(first - fd) <= 1e-8, (a, x)
+                if gap < 2e-4:
+                    continue
+                h = 1e-4
+                fd = (_term(x + h, a) - 2 * _term(x, a) + _term(x - h, a)) / (h * h)
+                assert abs(second - fd) <= 1e-6, (a, x)
+            # the first derivative is continuous at both junctions
+            for j in junctions:
+                left = _term_slopes(j - 1e-12, a)[0]
+                right = _term_slopes(j + 1e-12, a)[0]
+                assert abs(left - right) <= 1e-10
+
+    def test_line_searches_end_stationary(self, monkeypatch):
+        # every line search ends where g'(t) is zero to round-off, or at an
+        # end of its segment
+        solve = boundary._solve
+        ends = []
+
+        def recorded(f, df, lo, hi, target, start=None):
+            t = solve(f, df, lo, hi, target, start)
+            ends.append((f(t), t, lo, hi))
+            return t
+        monkeypatch.setattr(boundary, "_solve", recorded)
+        for a in ALPHAS:
+            ends.clear()
+            maximize_grid(a)
+            assert ends
+            for slope, t, lo, hi in ends:
+                assert (abs(slope) <= 1e-14 or t - lo <= boundary.SOLVE_TOL
+                        or hi - t <= boundary.SOLVE_TOL), (a, slope, t, lo, hi)
+
+    def test_few_scalar_evaluations(self, monkeypatch):
+        # Newton line searches: one maximize_grid(2.2) makes at most 4000
+        # scalar term and slope evaluations together (golden-section
+        # searches made 30 822)
+        calls = [0]
+
+        def counted(fn):
+            def g(x, a):
+                calls[0] += 1
+                return fn(x, a)
+            return g
+        monkeypatch.setattr(optimizer, "_term", counted(_term))
+        monkeypatch.setattr(optimizer, "_term_slopes", counted(_term_slopes))
+        maximize_grid(2.2)
+        assert 0 < calls[0] <= 4000
+
+    def test_residual_across_alphas(self):
+        # the largest stationarity residual over 9 alphas spanning the
+        # interval, 1.107e-7 with golden-section searches
+        worst = 0.0
+        for a in np.linspace(2.0 + 1e-6, ALPHA_HI - 1e-6, 9):
+            res = maximize_grid(float(a))
+            assert res.best.strictly_feasible
+            worst = max(worst, res.stationarity_residual)
+        assert worst <= 1.11e-7
 
     @pytest.mark.parametrize("a,value", [
         (2.05, 0.43915636150380255),
