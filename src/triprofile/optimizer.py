@@ -422,13 +422,12 @@ def _polish(x, a: float, refine_tol: float, bracket: float):
             t = boundary._solve(descent, lambda t: rate, lo, hi, 0.0, start=0.0)
             trial = tuple(min(max(xk + t * wk, 0.0), 0.5)
                           for xk, wk in zip(x, w))
-            if val(trial) > best:
-                x = trial
-                best = val(x)
-        new = val(x)
-        if sweep > 0 and new - last <= refine_tol:
-            return x, new
-        last = new
+            v = val(trial)
+            if v > best:
+                x, best = trial, v
+        if sweep > 0 and best - last <= refine_tol:
+            return x, best
+        last = best
     raise RuntimeError(f"refinement did not converge within {_POLISH_SWEEPS} iterations")
 
 

@@ -246,13 +246,21 @@ class TestTriangleKernels:
         assert peak < 24 * 2 ** 20
 
 
-def upper_bitset(rng, n, p):
+def block_bitset(rng, parts, P):
     """(bitset, 0/1 matrix) of a random strictly upper-triangular matrix
-    with pair density p, packed as the blow-up census packs its rows."""
-    U = np.triu(rng.random((n, n)) < p, 1)
+    whose pairs join with density P[b][c] between parts b and c, the parts
+    in vertex order, packed as the blow-up census packs its rows."""
+    blocks = np.repeat(np.arange(len(parts)), parts)
+    n = blocks.size
+    U = np.triu(rng.random((n, n)) < np.asarray(P)[blocks][:, blocks], 1)
     rows = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
     rows.view(np.uint8)[:, :(n + 7) >> 3] = np.packbits(U, axis=1, bitorder="little")
     return rows, U
+
+
+def upper_bitset(rng, n, p):
+    """block_bitset of one part with pair density p."""
+    return block_bitset(rng, [n], [[p]])
 
 
 class TestTileKernel:
@@ -271,15 +279,65 @@ class TestTileKernel:
             want = census_fast(g).c3 if n > 257 else census_brute(g).c3 if n >= 3 else 0
         else:
             want = math.comb(n, 3)
-        t, cols = _triangles_tiles(rows)
+        t, cols, _ = _triangles_tiles(rows)
         assert t == _common_bits(rows, u, v) == want
         assert cols.tolist() == U.sum(axis=0).tolist()
+
+    # (parts, densities, band pairs skipped): the bands are rows 0-255,
+    # 256-511, ...; a pair is skipped when its left block is clear, when the
+    # left band's extent ends before the right band, or when either is empty
+    @pytest.mark.parametrize("parts,P,skipped", [
+        # two components with no edges across: band 0 ends at column 290
+        ([290, 310], [[0.5, 0], [0, 0.5]], 1),
+        # an empty tail from vertex 437, no multiple of 64 or 256
+        ([437, 163], [[0.5, 0], [0, 0]], 3),
+        ([301], [[0]], 3),
+        # universal columns from vertex 520, set in every row above them
+        ([520, 80], [[0.3, 1], [1, 1]], 0),
+        # rows 256-511 empty, their columns set from band 0
+        ([256, 256, 288], [[0.5, 0.5, 0.5], [0.5, 0, 0], [0.5, 0, 0.5]], 4),
+        # block (0, 1) clear between bands whose rows reach past it
+        ([256, 256, 288], [[0.5, 0, 0.5], [0, 0.5, 0.5], [0.5, 0.5, 0.5]], 1),
+    ])
+    def test_block_structured(self, parts, P, skipped):
+        rows, U = block_bitset(np.random.default_rng(sum(parts)), parts, P)
+        n = U.shape[0]
+        u, v = np.nonzero(U)
+        t, cols, (done, skips, _) = _triangles_tiles(rows)
+        assert t == _common_bits(rows, u, v) == census_fast(
+            Graph.from_edges(n, np.column_stack([u, v]))).c3
+        assert cols.tolist() == U.sum(axis=0).tolist()
+        nb = -(-n // census._TILE)
+        assert (done + skips, skips) == (nb * (nb + 1) // 2, skipped)
+
+    def test_work_logged(self, caplog):
+        # the two components above: diagonal blocks of bands 0-2 in 64-row
+        # sub-bands over extents 290, 600 and 600, and the pairs (0,1) over
+        # 34 columns and (1,2) over 88, band 0 ending before band 2:
+        # 9 256 960 + 11 468 800 + 509 440 + 295 936 + 1 982 464
+        rows, _ = block_bitset(np.random.default_rng(600), [290, 310],
+                               [[0.5, 0], [0, 0.5]])
+        caplog.set_level(logging.DEBUG, logger="triprofile.census")
+        census._upper_census(rows)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "triprofile.census"] == [
+            "tile kernel: n=600 band_pairs=5 skipped=1 multiply_adds=23513600 "
+            "(0.653 of n^3/6)"]
+
+    def test_refuses_sums_float32_cannot_hold(self):
+        # from 65 536 vertices a masked row sum could pass 2^24; an all-zero
+        # bitset, broadcast from one word, just below
+        n = (1 << 24) // census._TILE
+        with pytest.raises(DomainError, match="exact below 65536 vertices, not at n=65536"):
+            _triangles_tiles(np.broadcast_to(np.uint64(0), (n, (n + 63) >> 6)))
+        t, cols, work = _triangles_tiles(np.broadcast_to(np.uint64(0), (n - 1, (n + 62) >> 6)))
+        assert (t, int(cols.sum()), work) == (0, 0, (0, 256 * 257 // 2, 0))
 
     def test_complete_above_float32_integers(self):
         # C(2000,3) = 1 331 334 000 is far above 2^24: the tile sums must not
         # be taken in float32 beyond one row
         rows, _ = upper_bitset(np.random.default_rng(0), 2000, 1.0)
-        t, cols = _triangles_tiles(rows)
+        t, cols, _ = _triangles_tiles(rows)
         assert t == math.comb(2000, 3) == 1331334000
         assert cols.tolist() == list(range(2000))
 

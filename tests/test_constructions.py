@@ -459,10 +459,21 @@ class TestFiniteCensus:
         fwd = np.bitwise_count(rows).sum(axis=1)
         u, v = np.nonzero(np.unpackbits(rows.view(np.uint8), axis=1, count=n,
                                         bitorder="little"))
-        t, cols = census_module._triangles_tiles(rows)
+        t, cols, _ = census_module._triangles_tiles(rows)
         assert t == census_module._common_bits(rows, u, v) == census_fast(g).c3
         assert (fwd + cols).tolist() == g.degrees.tolist()
         assert finite_census(spec) == census_fast(g)
+
+    @pytest.mark.parametrize("n", [63, 300, 1000])
+    @pytest.mark.parametrize("family,params", SEEDED[:2])
+    def test_tiles_skip_empty_blocks(self, family, params, n):
+        # below x = 1/16 the base parts are two linked pairs with no edges
+        # between them, so the bitsets have clear blocks; at n = 1000 the
+        # tile kernel skips g0's band pairs (0, 2) and (0, 3)
+        spec = FamilySpec(family, params, n=n, seed=3)
+        path, counts = constructions._finite(spec).census(3)
+        assert path == "bitset"
+        assert finite_census(spec) == counts == census_fast(realize(spec))
 
     def test_bitset_memory(self):
         # the bitset is 2 MB; with the edges kept as int64 arrays beside it,

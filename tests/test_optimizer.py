@@ -251,18 +251,20 @@ class TestMaximizeGrid:
     def test_few_scalar_evaluations(self, monkeypatch):
         # Newton line searches: one maximize_grid(2.2) makes at most 4000
         # scalar term and slope evaluations together (golden-section
-        # searches made 30 822)
-        calls = [0]
+        # searches made 30 822), and at most 600 term evaluations (1 110
+        # when the polish evaluated each taken point again)
+        calls = {"_term": 0, "_term_slopes": 0}
 
         def counted(fn):
             def g(x, a):
-                calls[0] += 1
+                calls[fn.__name__] += 1
                 return fn(x, a)
             return g
         monkeypatch.setattr(optimizer, "_term", counted(_term))
         monkeypatch.setattr(optimizer, "_term_slopes", counted(_term_slopes))
         maximize_grid(2.2)
-        assert 0 < calls[0] <= 4000
+        assert 0 < calls["_term"] <= 600
+        assert 0 < calls["_term"] + calls["_term_slopes"] <= 4000
 
     def test_residual_across_alphas(self):
         # the largest stationarity residual over 9 alphas spanning the
