@@ -120,7 +120,7 @@ class CurveParams:
 
 
 def _solve(f: Callable[[float], float], df: Callable[[float], float],
-           lo: float, hi: float, target: float, start: Optional[float] = None) -> float:
+           lo: float, hi: float, target: float, start: float) -> float:
     """Invert an increasing f on [lo, hi] to absolute argument tolerance.
 
     Safeguarded Newton (rtsafe): every evaluation of f moves one end of the
@@ -130,12 +130,12 @@ def _solve(f: Callable[[float], float], df: Callable[[float], float],
     evaluation has moved lands on that end, so a root at the end of the
     range is hit exactly instead of being crept up on by bisection.  Stops
     at an exact hit, or once the bracket or a Newton step is within SOLVE_TOL;
-    ``start`` (default: the midpoint) is clamped into the bracket.  On an f
+    ``start`` is clamped into the bracket.  On an f
     that is not monotone it ends where f - target changes sign from below
     to above, or at an end of [lo, hi].
     """
     bottom, top = lo, hi
-    x = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
+    x = min(max(start, lo), hi)
     step = before = hi - lo
     while hi - lo > SOLVE_TOL:
         fx = f(x) - target
@@ -507,7 +507,7 @@ def _s03_crossover() -> float:
         a = isolated_mass_for_cotriangle(d0)
         c = d0 ** (1.0 / 3.0)
         return 2.0 * (1.0 - c) / c - (1.0 - a) / (2.0 * a)
-    return _solve(diff, slope, 0.2, 0.35, 0.0)
+    return _solve(diff, slope, 0.2, 0.35, 0.0, start=0.275)
 
 
 # Smooth pieces of each region's boundary polyline, count rows apiece.

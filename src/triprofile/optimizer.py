@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,16 @@ __all__ = [
 ALPHA_LO = 2.0
 ALPHA_HI = 1.0 + math.sqrt(2.0)
 _SUM_TOL = 1e-12
-# Bytes maximize_grid holds per point of its (grid+1)^2 index square:
-# tracemalloc peaked at 53 for grids 400, 1000 and 2000.
-_GRID_BYTES_PER_POINT = 53
+# Bytes maximize_grid holds per point of its (grid//2 + 1)^2 index square:
+# tracemalloc peaked at 32.0-32.4 for grids 400, 1000 and 2000.
+_GRID_BYTES_PER_POINT = 33
 # A grid that would need more is refused before anything is allocated: half
-# the memory of an 8 GB machine, so grids up to 9001 are scanned.
+# the memory of an 8 GB machine, so grids up to 22815 are scanned.
 _GRID_MAX_BYTES = 1 << 32
 # Polish sweeps before refinement is declared not to converge.
 _POLISH_SWEEPS = 10000
+# Central-difference step of stationarity_residual.
+_FD_STEP = 1e-6
 
 
 def validate_alpha(alpha: float) -> float:
@@ -120,9 +123,23 @@ def objective(x, y, alpha: float) -> float:
     a = float(alpha)
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
-    return float(np.sum(
-        xs ** 3 * (3.0 - a - 3.0 * (3.0 - a) * ys - 3.0 * (a - 1.0) * ys ** 2)
-        + 3.0 * xs ** 2 * ys))
+    return float(np.sum(xs ** 3 * _cubic_coefficient(ys, a) + 3.0 * xs ** 2 * ys))
+
+
+def _cubic_coefficient(y, a: float):
+    """c(y) = 3 - a - 3(3-a) y - 3(a-1) y^2, so F's j-th term is
+    x_j^3 c(y_j) + 3 x_j^2 y_j; y may be a float or an array."""
+    return 3.0 - a - 3.0 * (3.0 - a) * y - 3.0 * (a - 1.0) * y ** 2
+
+
+def _y_rule(x: float, a: float) -> tuple:
+    """stationary_y's branches at one float, (y, whether y is interior);
+    a line search's round-off negatives take y = 1."""
+    if x <= 1.0 / (a + 1.0):
+        return 1.0, False
+    if x >= 0.5:
+        return 0.5, False
+    return (1.0 / x - (3.0 - a)) / (2.0 * (a - 1.0)), True
 
 
 def stationary_y(x_j: float, alpha: float) -> float:
@@ -131,40 +148,16 @@ def stationary_y(x_j: float, alpha: float) -> float:
     1 for x_j <= 1/(a+1), 1/2 for x_j >= 1/2, else the interior critical
     point (1/x_j - (3-a)) / (2(a-1)); continuous at both junctions.
     """
-    a = float(alpha)
     if x_j < 0:
         raise DomainError("x_j must be nonnegative")
-    if x_j <= 1.0 / (a + 1.0):
-        return 1.0
-    if x_j >= 0.5:
-        return 0.5
-    return (1.0 / x_j - (3.0 - a)) / (2.0 * (a - 1.0))
-
-
-def _term_eliminated(xs: np.ndarray, a: float) -> np.ndarray:
-    """Per-coordinate objective term with y eliminated by stationary_y."""
-    with np.errstate(divide="ignore"):
-        inv = np.where(xs > 0, 1.0 / np.where(xs > 0, xs, 1.0), np.inf)
-    ys = np.where(xs <= 1.0 / (a + 1.0), 1.0,
-                  np.where(xs >= 0.5, 0.5, (inv - (3.0 - a)) / (2.0 * (a - 1.0))))
-    return (xs ** 3 * (3.0 - a - 3.0 * (3.0 - a) * ys - 3.0 * (a - 1.0) * ys ** 2)
-            + 3.0 * xs ** 2 * ys)
+    return _y_rule(x_j, float(alpha))[0]
 
 
 def _term(x: float, a: float) -> float:
-    """_term_eliminated for one Python float, by stationary_y's rule.
-
-    Unlike stationary_y it accepts the round-off negatives a line search
-    can produce; like _term_eliminated it gives them y = 1.
-    """
-    if x <= 1.0 / (a + 1.0):
-        y = 1.0
-    elif x >= 0.5:
-        y = 0.5
-    else:
-        y = (1.0 / x - (3.0 - a)) / (2.0 * (a - 1.0))
-    return (x ** 3 * (3.0 - a - 3.0 * (3.0 - a) * y - 3.0 * (a - 1.0) * y ** 2)
-            + 3.0 * x ** 2 * y)
+    """F's per-coordinate term at one float, with y eliminated by
+    stationary_y's rule: the only such evaluator, for scan and polish."""
+    y = _y_rule(x, a)[0]
+    return x ** 3 * _cubic_coefficient(y, a) + 3.0 * x ** 2 * y
 
 
 def optimal_sigma(alpha: float) -> float:
@@ -226,6 +219,14 @@ def analytic_candidates(alpha: float) -> list:
     r1 = 1.0 / (a + 1.0)
     cands = []
 
+    def in_case(tag, x1, x3):
+        # a radical pair's sign branch is kept only where x1 < 1/(a+1) < x3 < 1/2
+        if 0.0 < x1 < r1 and r1 < x3 < 0.5:
+            return True
+        log.debug("dropping infeasible radical branch %s at alpha=%g "
+                  "(x1=%g, x3=%g)", tag, a, x1, x3)
+        return False
+
     cands.append(_candidate("corner x=(0,0,1)", (0.0, 0.0, 1.0), a,
                             printed_value=(3.0 - a) / 4.0))
     cands.append(_candidate(
@@ -257,13 +258,10 @@ def analytic_candidates(alpha: float) -> list:
     for sign, tag in ((1.0, "+"), (-1.0, "-")):
         x1 = base1 + sign * rad / (3.0 * (a + 1.0) ** 3)
         x3 = base3 - sign * rad / (3.0 * (a + 1.0) ** 3)
-        if 0.0 < x1 < r1 and r1 < x3 < 0.5:
+        if in_case(tag, x1, x3):
             cands.append(_candidate(
                 f"x2=1/(a+1), interior x1 and x3<1/2 (branch {tag})",
                 (x1, r1, x3), a))
-        else:
-            log.debug("dropping infeasible radical branch %s at alpha=%g "
-                      "(x1=%g, x3=%g)", tag, a, x1, x3)
 
     den = a * a + 4 * a + 3
     cands.append(_candidate(
@@ -295,18 +293,14 @@ def analytic_candidates(alpha: float) -> list:
     for sign, tag in ((1.0, "+"), (-1.0, "-")):
         x1 = (-a * a + 18 * a - 13 + 2.0 * sign * rad) / den
         x3 = (8 * a * a + 6 * a - 10 - sign * rad) / den
-        if 0.0 < x1 < r1 and r1 < x3 < 0.5:
+        if in_case(tag, x1, x3):
             cands.append(_candidate(
                 f"interior x1, x2=x3 (branch {tag})", (x1, x3, x3), a))
-        else:
-            log.debug("dropping infeasible radical branch %s at alpha=%g "
-                      "(x1=%g, x3=%g)", tag, a, x1, x3)
 
     return cands
 
 
-def stationarity_residual(point: FeasiblePoint, alpha: float,
-                          h: float = 1e-6) -> float:
+def stationarity_residual(point: FeasiblePoint, alpha: float) -> float:
     """Karush-Kuhn-Tucker residual at a feasible point, by central differences.
 
     The x-gradient (at fixed y) must be constant across the support of x,
@@ -329,6 +323,7 @@ def stationarity_residual(point: FeasiblePoint, alpha: float,
         return objective(x, ys, a)
 
     support = [j for j in range(3) if x[j] > 1e-12]
+    h = _FD_STEP
     grads = [(fx(j, x[j] + h) - fx(j, x[j] - h)) / (2.0 * h) for j in support]
     lam = sum(grads) / len(grads)
     residual = max(abs(g - lam) for g in grads)
@@ -363,14 +358,9 @@ def _term_slopes(x: float, a: float) -> tuple:
     the interior branch, 3/(2(a-1)x) from y moving with x.  The first
     derivative is continuous at both junctions, the second jumps there.
     """
-    if x <= 1.0 / (a + 1.0):
-        y, moving = 1.0, 0.0
-    elif x >= 0.5:
-        y, moving = 0.5, 0.0
-    else:
-        y = (1.0 / x - (3.0 - a)) / (2.0 * (a - 1.0))
-        moving = 1.5 / ((a - 1.0) * x)
-    c = 3.0 - a - 3.0 * (3.0 - a) * y - 3.0 * (a - 1.0) * y ** 2
+    y, interior = _y_rule(x, a)
+    moving = 1.5 / ((a - 1.0) * x) if interior else 0.0
+    c = _cubic_coefficient(y, a)
     return 3.0 * x * x * c + 6.0 * x * y, 6.0 * x * c + 6.0 * y + moving
 
 
@@ -436,38 +426,44 @@ def maximize_grid(alpha: float, grid: int = 400,
     """Independent grid-plus-refinement maximization of F.
 
     y is eliminated per coordinate by stationary_y (exact inner maximization,
-    since F is concave in each y_j).  The full simplex is scanned with step
-    1/grid; the best point with all coordinates at most 1/2 (the closure of
-    the strictly feasible set, on which the same maximum is attained) is
+    since F is concave in each y_j).  F is then a sum of one _term per
+    coordinate, so the scan of the simplex with step 1/grid evaluates _term
+    once at each k/grid and scores a point (i, j, k = grid-i-j)/grid by
+    adding three of those.  It scans only the points with every coordinate
+    at most 1/2 (the closure of the strictly feasible set, on which the same
+    maximum is attained): i, j and k at most grid//2.  The best of them are
     refined by Newton line searches along simplex-tangent directions (see
     _polish).  Ties among permuted maximizers are resolved by sorting x
-    ascending.  A grid whose scan would need more than _GRID_MAX_BYTES
-    raises DomainError before allocating.
+    ascending.  A grid that is not an integer of at least 50 or whose scan
+    would need more than _GRID_MAX_BYTES, or a negative or NaN refine_tol,
+    raises DomainError before the scan.
     """
     a = validate_alpha(alpha)
+    if not isinstance(grid, numbers.Integral):
+        raise DomainError(f"grid must be an integer (got {grid!r})")
     if grid < 50:
         raise DomainError("grid must be at least 50")
-    need = (grid + 1) ** 2 * _GRID_BYTES_PER_POINT
+    if not refine_tol >= 0.0:
+        raise DomainError(f"refine_tol must be a nonnegative number (got {refine_tol!r})")
+    half = grid // 2
+    need = (half + 1) ** 2 * _GRID_BYTES_PER_POINT
     if need > _GRID_MAX_BYTES:
         raise DomainError(f"grid {grid} too large: its scan would need {need:.3g} bytes "
                           f"({_GRID_BYTES_PER_POINT} a point), over the "
                           f"{_GRID_MAX_BYTES}-byte budget")
-    idx = np.arange(grid + 1)
-    i, j = np.meshgrid(idx, idx, indexing="ij")
-    keep = (i + j) <= grid
-    x1 = i[keep] / grid
-    x2 = j[keep] / grid
-    x3 = 1.0 - x1 - x2
-    vals = (_term_eliminated(x1, a) + _term_eliminated(x2, a)
-            + _term_eliminated(x3, a))
+    terms = np.array([_term(k / grid, a) for k in range(grid + 1)])
+    idx = np.arange(half + 1)[:, None]
+    k = grid - idx - idx.T
+    vals = terms[idx] + terms[idx.T] + terms[k]
+    vals[k > half] = -np.inf
     bracket = max(2.0 / grid, 1e-3)
-    # polish the leading strict-region grid points; several starts guard
-    # against permuted ties of near-degenerate stationary configurations
-    strict_vals = np.where((x1 <= 0.5) & (x2 <= 0.5) & (x3 <= 0.5),
-                           vals, -np.inf)
+    # polish the leading grid points; several starts guard against permuted
+    # ties of near-degenerate stationary configurations
     polished = []
-    for b in np.argsort(-strict_vals)[:12]:
-        polished.append(_polish((x1[b], x2[b], x3[b]), a, refine_tol, bracket))
+    for b in np.argsort(-vals, axis=None)[:12]:
+        i, j = divmod(int(b), half + 1)
+        polished.append(_polish((i / grid, j / grid, (grid - i - j) / grid),
+                                a, refine_tol, bracket))
     champion = max(v for _, v in polished)
     # among ties prefer the maximizer farthest from the x_j = 1/2
     # face (the strictly feasible one), then sort for determinism

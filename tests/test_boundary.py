@@ -486,3 +486,64 @@ class TestSoundness:
             d = graphon_densities(random_step_graphon(rng))
             for slope, intercept in lines:
                 assert d.d1 - slope * d.d3 <= intercept + 1e-9
+
+
+def blowup_counts(A):
+    """Exact counts (N0, N1, N2, N3) of the blow-up of each graph in the
+    int64 adjacency stack A (g, n, n) into n equal independent parts: the
+    ordered part triples spanning e edges, so that d_e = N_e / n^3."""
+    n = A.shape[1]
+    deg = A.sum(axis=2)
+    n3 = ((A @ A) * A).sum(axis=(1, 2))             # trace(A^3) = 6 triangles
+    n2 = 3 * (deg * deg).sum(axis=1) - 3 * n3
+    n1 = 6 * n * (deg.sum(axis=1) // 2) - 2 * n2 - 3 * n3
+    return np.stack([n ** 3 - n1 - n2 - n3, n1, n2, n3], axis=1)
+
+
+def all_graphs(n):
+    """Adjacency stack of every labelled graph on n vertices."""
+    iu = np.triu_indices(n, 1)
+    codes = np.arange(1 << len(iu[0]), dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(len(iu[0]))) & 1
+    A = np.zeros((len(codes), n, n), dtype=np.int64)
+    A[:, iu[0], iu[1]] = bits
+    return A + A.transpose(0, 2, 1)
+
+
+class TestSmallGraphBlowups:
+    """Every graph on 2-6 vertices, blown up into equal independent parts,
+    and the complement's blow-up into clique parts (the reversed profile):
+    exact rational points, many of them on a region's boundary."""
+
+    def test_counts_match_graphon_densities(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            A = np.triu(rng.random((n, n)) < rng.random(), 1).astype(np.int64)
+            A += A.T
+            want = blowup_counts(A[None])[0] / n ** 3
+            d = graphon_densities(StepGraphon(np.full(n, 1.0 / n), A))
+            # 1/n is inexact for n = 3, 5, 6 and 7, and graphon_densities
+            # rounds: 1.5 ulp of 1 at worst over eight seeds
+            assert np.max(np.abs(np.array(d.profile) - want)) <= 2 * np.finfo(float).eps, A
+
+    def test_inside_every_region_and_on_its_boundary(self):
+        profiles = {(n, tuple(int(v) for v in c))
+                    for n in range(2, 7) for c in blowup_counts(all_graphs(n))}
+        assert len(profiles) == 161
+        attained = set()
+        for n, counts in profiles:
+            for c in (counts, counts[::-1]):
+                d = [v / n ** 3 for v in c]
+                for region, (i, j) in (("s03", (0, 3)), ("s12", (1, 2)),
+                                       ("s13", (1, 3)), ("s23", (2, 3))):
+                    v = membership(region, d[i], d[j], 0.0)
+                    assert v.slack >= -1e-12, (n, c, region, v)
+                    if abs(v.slack) <= 1e-12:
+                        attained.add(f"{region} {v.binding}")
+        # the s13 concave piece and the s03 upper branches pass through no
+        # such point: their boundary points here are irrational
+        for binding in ("s13 d1<=s13_upper(d3):linear", "s13 d1<=s13_upper(d3):convex",
+                        "s13 d1<=s13_upper(d3):unit-sum", "s23 d2<=1.5*(inv(d3)-d3)",
+                        "s03 goodman:d0+d3>=1/4", "s12 d1+d2<=3/4"):
+            assert binding in attained, binding

@@ -368,14 +368,20 @@ class TestOptimize:
         assert "one zero, x2=x3=1/2" in out
 
     def test_grid_too_large_exit_1(self):
-        # its index square alone would need 74.5 GiB: refused before any
-        # allocation, even under a 2 GB address-space limit
+        # one int64 array over its index square would need 18.6 GiB: refused
+        # before any allocation, even under a 2 GB address-space limit
         done = run_limited(2_000_000 * 1024, "optimize", "--alpha", "2.2",
                            "--grid", "100000")
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == (
-            "error: grid 100000 too large: its scan would need 5.3e+11 bytes "
-            "(53 a point), over the 4294967296-byte budget\n")
+            "error: grid 100000 too large: its scan would need 8.25e+10 bytes "
+            "(33 a point), over the 4294967296-byte budget\n")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_refine_tol_exit_1(self, capsys, tol):
+        code, out, err = run(capsys, "optimize", "--alpha", "2.2", "--refine-tol", tol)
+        assert code == 1 and out == ""
+        assert err == f"error: refine_tol must be a nonnegative number (got {float(tol)!r})\n"
 
 
 class TestVerify:

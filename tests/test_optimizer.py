@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from triprofile import (DomainError, analytic_candidates, closed_form_max,
                         optimal_sigma, s13_upper_bound, s13_upper_slope,
                         stationarity_residual, stationary_y)
 from triprofile import boundary, optimizer
-from triprofile.optimizer import (ALPHA_HI, FeasiblePoint, _term,
-                                  _term_eliminated, _term_slopes)
+from triprofile.optimizer import ALPHA_HI, FeasiblePoint, _term, _term_slopes
 
 ALPHAS = (2.05, 2.1, 2.2, 2.3, 2.41)
 
@@ -122,6 +123,17 @@ class TestCandidates:
             assert not any("x3<1/2 (branch -)" in lab for lab in labels)
             assert any("x3<1/2 (branch +)" in lab for lab in labels)
 
+    @pytest.mark.parametrize("a", [2.05, 2.2, 2.41])
+    def test_drop_logged(self, caplog, a):
+        # the one DEBUG record per call that perfbench counts as a dropped
+        # candidate, e.g. "... alpha=2.2 (x1=0.164062, x3=0.523438)"
+        caplog.set_level(logging.DEBUG, logger="triprofile.optimizer")
+        analytic_candidates(a)
+        (rec,) = [r for r in caplog.records if r.name == "triprofile.optimizer"]
+        assert rec.msg.startswith("dropping")
+        assert rec.getMessage().startswith(
+            f"dropping infeasible radical branch - at alpha={a:g} (x1=")
+
     def test_points_feasible(self):
         for a in ALPHAS:
             for c in analytic_candidates(a):
@@ -149,16 +161,25 @@ class TestMaximizeGrid:
                 maximize_grid(bad)
         with pytest.raises(DomainError):
             maximize_grid(2.2, grid=10)
+        with pytest.raises(DomainError, match="^grid must be an integer"):
+            maximize_grid(2.2, grid=400.5)
 
     def test_grid_budget(self, monkeypatch):
-        # 53 bytes for each of the 51^2 index points of grid 50: scanned at a
+        # 33 bytes for each of the 26^2 index points of grid 50: scanned at a
         # budget of exactly that, refused one byte below
-        monkeypatch.setattr(optimizer, "_GRID_MAX_BYTES", 53 * 51 ** 2)
+        monkeypatch.setattr(optimizer, "_GRID_MAX_BYTES", 33 * 26 ** 2)
         assert maximize_grid(2.2, grid=50).value > 0
-        monkeypatch.setattr(optimizer, "_GRID_MAX_BYTES", 53 * 51 ** 2 - 1)
+        monkeypatch.setattr(optimizer, "_GRID_MAX_BYTES", 33 * 26 ** 2 - 1)
         with pytest.raises(DomainError, match="^grid 50 too large: its scan would need "
-                                              "1.38e"):
+                                              "2.23e"):
             maximize_grid(2.2, grid=50)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_refine_tol_validated(self, tol):
+        # refused before the scan; unchecked, the polish ran to its
+        # iteration cap and raised RuntimeError
+        with pytest.raises(DomainError, match="^refine_tol must be a nonnegative"):
+            maximize_grid(2.2, refine_tol=tol)
 
     def test_residual_at_analytic_optimum(self):
         for a in ALPHAS:
@@ -191,14 +212,19 @@ class TestMaximizeGrid:
                     assert c.value <= m - 1e-6, (a, c.label)
 
     def test_scalar_term_matches_vectorized(self):
-        # the polish evaluates _term on floats, the grid scan
-        # _term_eliminated on arrays: both follow stationary_y's branches,
-        # including at the junctions 1/(a+1) and 1/2 and at round-off
-        # negatives (numpy's power may differ from libm's in the last bit)
+        # _term against the term and stationary_y's rule written out on
+        # arrays, including at the junctions 1/(a+1) and 1/2 and at
+        # round-off negatives, which take y = 1 (numpy's power may differ
+        # from libm's in the last bit)
         for a in ALPHAS:
             xs = np.concatenate([[0.0, 1.0 / (a + 1.0), 0.5, -1e-17],
                                  np.linspace(0.0, 1.0, 4001)])
-            want = _term_eliminated(xs, a)
+            with np.errstate(divide="ignore"):
+                interior = (1.0 / xs - (3.0 - a)) / (2.0 * (a - 1.0))
+            ys = np.where(xs <= 1.0 / (a + 1.0), 1.0,
+                          np.where(xs >= 0.5, 0.5, interior))
+            want = (xs ** 3 * (3 - a - 3 * (3 - a) * ys - 3 * (a - 1) * ys ** 2)
+                    + 3 * xs ** 2 * ys)
             got = np.array([_term(float(x), a) for x in xs])
             assert np.max(np.abs(got - want)) <= 4e-16
 
@@ -235,7 +261,7 @@ class TestMaximizeGrid:
         solve = boundary._solve
         ends = []
 
-        def recorded(f, df, lo, hi, target, start=None):
+        def recorded(f, df, lo, hi, target, start):
             t = solve(f, df, lo, hi, target, start)
             ends.append((f(t), t, lo, hi))
             return t
@@ -249,21 +275,31 @@ class TestMaximizeGrid:
                         or hi - t <= boundary.SOLVE_TOL), (a, slope, t, lo, hi)
 
     def test_few_scalar_evaluations(self, monkeypatch):
-        # Newton line searches: one maximize_grid(2.2) makes at most 4000
-        # scalar term and slope evaluations together (golden-section
-        # searches made 30 822), and at most 600 term evaluations (1 110
-        # when the polish evaluated each taken point again)
+        # the scan evaluates _term once at each of the grid+1 = 401 points
+        # k/grid.  Newton line searches: the polish makes at most 600 term
+        # evaluations (1 110 when it evaluated each taken point again), and
+        # one maximize_grid(2.2) at most 4000 scalar term and slope
+        # evaluations together (golden-section searches made 30 822)
         calls = {"_term": 0, "_term_slopes": 0}
+        scanned = []
+        polish = optimizer._polish
 
         def counted(fn):
             def g(x, a):
                 calls[fn.__name__] += 1
                 return fn(x, a)
             return g
+
+        def first_polish(*args):
+            if not scanned:
+                scanned.append(calls["_term"])
+            return polish(*args)
         monkeypatch.setattr(optimizer, "_term", counted(_term))
         monkeypatch.setattr(optimizer, "_term_slopes", counted(_term_slopes))
+        monkeypatch.setattr(optimizer, "_polish", first_polish)
         maximize_grid(2.2)
-        assert 0 < calls["_term"] <= 600
+        assert scanned == [401]
+        assert 0 < calls["_term"] - scanned[0] <= 600
         assert 0 < calls["_term"] + calls["_term_slopes"] <= 4000
 
     def test_residual_across_alphas(self):
