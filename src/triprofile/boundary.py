@@ -466,14 +466,12 @@ def _constraints(region: Region, x: float, y: float) -> list:
             ("d3>=0", y),
             ("d2<=1.5*(inv(d3)-d3)", bound - x),
         ]
-    if region is Region.S03:
-        return [
-            ("d0>=0", x),
-            ("d3>=0", y),
-            ("goodman:d0+d3>=1/4", x + y - 0.25),
-            ("d3<=s03_upper(d0)", s03_upper_bound(_clamp01(x)) - y),
-        ]
-    raise DomainError(f"unhandled region {region}")
+    return [
+        ("d0>=0", x),
+        ("d3>=0", y),
+        ("goodman:d0+d3>=1/4", x + y - 0.25),
+        ("d3<=s03_upper(d0)", s03_upper_bound(_clamp01(x)) - y),
+    ]
 
 
 def membership(region, x: float, y: float, tol: float = 1e-9) -> MembershipVerdict:

@@ -243,6 +243,14 @@ class DensityVector:
                                               other.profile + (other.d_e,)))
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        # ragged nesting, strings that are not numerals, objects
+        raise DomainError(f"{name} must be a rectangular array of real numbers") from None
+
+
 class StepGraphon:
     """Blockwise-constant symmetric kernel: block weights + density matrix.
 
@@ -253,8 +261,10 @@ class StepGraphon:
     __slots__ = ("sizes", "probs")
 
     def __init__(self, sizes, probs):
-        s = np.array(sizes, dtype=float).reshape(-1)
-        P = np.array(probs, dtype=float)
+        s = _real_array("sizes", sizes)
+        P = _real_array("probs", probs)
+        if s.ndim != 1:
+            raise DomainError("sizes must be a one-dimensional list of block weights")
         if s.size == 0:
             raise DomainError("a step graphon needs at least one block")
         # NaN fails every comparison, so each test below also rejects it
@@ -832,7 +842,7 @@ def read_step_graphon(path) -> StepGraphon:
         raise InputFormatError('missing key: "sizes" and "probs" are both required')
     try:
         return StepGraphon(doc["sizes"], doc["probs"])
-    except (DomainError, TypeError) as e:
+    except DomainError as e:
         raise InputFormatError(f"invalid step graphon: {e}") from None
 
 

@@ -339,7 +339,8 @@ def _g0_blowup(n: int, x: float) -> _Blowup:
 
     Only the regime with fractional densities (0 < x < 1/16) is sampled.  In
     the linked-cliques regime the two linked parts are joined by the
-    circulant of degree floor(delta * size).
+    circulant of degree floor(delta * size).  Its callers pass n >= 8, where
+    every floored part is nonempty: (1 - 2 sigma)/2 >= 1/6 and sigma >= 1/3.
     """
     if x < 0:
         s = int((0.25 + x) * n)
@@ -356,14 +357,10 @@ def _g0_blowup(n: int, x: float) -> _Blowup:
         sg = boundary.linked_cliques_sigma_for_triangle(x)
         delta = boundary.linked_cliques_cross_density(sg)
         na = int((1.0 - 2.0 * sg) / 2.0 * n)
-        if na < 1:
-            raise DomainError(f"n={n} too small for nonempty parts")
         rem = n - 2 * na
         return _Blowup([na, na, (rem + 1) // 2, rem // 2], np.eye(4),
                        link=(0, 1, int(delta * na)))
     sa = int(boundary.three_cliques_sigma_for_triangle(x) * n)
-    if sa < 1:
-        raise DomainError(f"n={n} too small for nonempty parts")
     return _Blowup([sa, sa, n - 2 * sa], np.eye(3))
 
 

@@ -169,20 +169,12 @@ def optimal_sigma(alpha: float) -> float:
 def closed_form_max(alpha: float) -> float:
     """The maximum of F over the feasible set, in closed form.
 
-    Cross-evaluated through the linked-cliques profile at
-    sigma = (5-(a-1)^2)/12, i.e. d1(sigma) - a * d3(sigma); the two forms
-    must agree to 1e-12.
+    verify.dual_forms checks it against the linked-cliques profile at
+    optimal_sigma(a), d1(sigma) - a * d3(sigma).
     """
     a = validate_alpha(alpha)
-    value = ((-a ** 6 + 6 * a ** 5 - 9 * a ** 4 - 4 * a ** 3 + 96 * a - 80)
-             / (144.0 * (a - 1.0)))
-    sg = optimal_sigma(a)
-    d1, d3 = boundary.linked_cliques_profile(sg)
-    alt = d1 - a * d3
-    if abs(value - alt) > 1e-12:
-        raise RuntimeError(
-            f"closed-form maximum disagrees with its profile form: {value!r} vs {alt!r}")
-    return value
+    return ((-a ** 6 + 6 * a ** 5 - 9 * a ** 4 - 4 * a ** 3 + 96 * a - 80)
+            / (144.0 * (a - 1.0)))
 
 
 def _candidate(label: str, xs, a: float, attains_max: bool = False,
@@ -276,12 +268,12 @@ def analytic_candidates(alpha: float) -> list:
     cands.append(_candidate("x1=x2=1/4, x3=1/2", (0.25, 0.25, 0.5), a,
                             printed_value=(9.0 - a) / 16.0))
 
+    # x1 + x2 = 1/2, and over all of (2, 1+sqrt(2)) x1 >= 0.086 and
+    # x2 - 1/(a+1) >= 0.08, so this pair is always in its case
     rad = math.sqrt(a ** 4 - 8 * a ** 3 + 23 * a ** 2 - 22 * a + 10)
     x1 = (-a * a - 2.0 * rad + 10 * a - 5) / (6.0 * (a + 1.0) ** 2)
     x2 = (2 * a * a + rad - 2 * a + 4) / (3.0 * (a + 1.0) ** 2)
-    if 0.0 < x1 < r1 and r1 < x2 < 0.5:
-        cands.append(_candidate("interior x1, interior x2, x3=1/2",
-                                (x1, x2, 0.5), a))
+    cands.append(_candidate("interior x1, interior x2, x3=1/2", (x1, x2, 0.5), a))
 
     sg = optimal_sigma(a)
     cands.append(_candidate("interior optimum x1=x2=sigma",

@@ -370,9 +370,10 @@ def min_triangle_attainment(points: int):
 
 
 def finite_convergence(cases, sizes, bounds: dict) -> CheckResult:
-    """For each (family, params, seeds) case and seed, realize's graphs at
-    the given sizes deviate from the limit densities by at most bounds[n],
-    and the deviation does not increase along sizes."""
+    """For each (family, params, seeds) case and seed, the censuses of
+    realize's graphs (finite_census) at the given sizes deviate from the
+    limit densities by at most bounds[n], and the deviation does not
+    increase along sizes."""
     @_check(f"finite realizations near their limits at n={','.join(map(str, sizes))}")
     def body():
         worst = dict.fromkeys(sizes, 0.0)
@@ -381,8 +382,8 @@ def finite_convergence(cases, sizes, bounds: dict) -> CheckResult:
             lim = graphon_densities(constructions.limit_graphon(
                 constructions.FamilySpec(family, params)))
             for seed in seeds:
-                devs = [densities(census_fast(constructions.realize(
-                    constructions.FamilySpec(family, params, n=n, seed=seed))))
+                devs = [densities(constructions.finite_census(
+                    constructions.FamilySpec(family, params, n=n, seed=seed)))
                     .max_deviation(lim) for n in sizes]
                 for n, dev in zip(sizes, devs):
                     worst[n] = max(worst[n], dev)

@@ -413,6 +413,19 @@ class TestStepGraphon:
             StepGraphon(sizes, probs)
         assert str(exc.value) == text
 
+    @pytest.mark.parametrize("sizes,probs,text", [
+        ([0.5, 0.5], [[1, 0], [0]], "probs must be a rectangular array of real numbers"),
+        ("abc", [[1]], "sizes must be a rectangular array of real numbers"),
+        ([0.5, 0.5], [[1, 0], [0, {}]], "probs must be a rectangular array of real numbers"),
+        ([[0.5], [0.5]], [[1, 0], [0, 1]],
+         "sizes must be a one-dimensional list of block weights"),
+        (1.0, [[1]], "sizes must be a one-dimensional list of block weights"),
+    ])
+    def test_not_numbers_or_not_flat(self, sizes, probs, text):
+        with pytest.raises(DomainError) as exc:
+            StepGraphon(sizes, probs)
+        assert str(exc.value) == text
+
     def test_keeps_private_read_only_copies(self):
         sizes = np.array([0.25, 0.75])
         probs = np.array([[1.0, 0.5], [0.5, 0.0]])
@@ -722,6 +735,9 @@ class TestFiles:
         ("0 1000000000000\n", 1, "vertex id too large"),
         (f"0 1\n2 {census._MAX_VERTICES}\n", 2, "vertex id too large"),
         (f"n {census._MAX_VERTICES + 1}\n0 1\n", 1, "vertex count too large"),
+        ("n 5\nn 5\n0 1\n", 2, "duplicate 'n' directive"),
+        ("n x\n0 1\n", 1, "vertex count is not an integer"),
+        ("n -3\n0 1\n", 1, "negative vertex count"),
     ])
     def test_first_offending_line(self, tmp_path, text, line, message):
         p = tmp_path / "bad.edges"

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import triprofile
+from triprofile import verify
 from triprofile.cli import main
 
 
@@ -104,6 +105,20 @@ class TestCensus:
         code, out, err = run(capsys, "census", str(p), "--graphon")
         assert code == 2 and out == ""
         assert err.startswith("error: not a valid step-graphon document")
+
+    @pytest.mark.parametrize("doc,text", [
+        ('{"sizes": [0.5, 0.5], "probs": [[1, 0], [0]]}',
+         "probs must be a rectangular array of real numbers"),
+        ('{"sizes": "abc", "probs": [[1]]}', "sizes must be a rectangular array of real numbers"),
+        ('{"sizes": [[0.5], [0.5]], "probs": [[1, 0], [0, 1]]}',
+         "sizes must be a one-dimensional list of block weights"),
+    ])
+    def test_graphon_malformed_arrays_exit_2(self, capsys, tmp_path, doc, text):
+        p = tmp_path / "w.json"
+        p.write_text(doc)
+        code, out, err = run(capsys, "census", str(p), "--graphon")
+        assert code == 2 and out == ""
+        assert err == f"error: invalid step graphon: {text}\n"
 
     def test_too_small_exit_1(self, capsys, tmp_path):
         p = tmp_path / "tiny.edges"
@@ -403,6 +418,37 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "boundary")
         assert code == 0
         assert "breakpoints" in out
+
+    def test_constructions_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "constructions")
+        assert code == 0
+        assert "FAIL" not in out
+        assert "PASS multipartite family lands on the S23 boundary" in out
+        assert "PASS finite realizations near their limits at n=400" in out
+
+    @staticmethod
+    def stub_suites(monkeypatch, failing=()):
+        # each suite returns two results named after it and runs no check
+        for suite in verify.SUITES:
+            results = [verify.CheckResult(f"{suite} {k}", f"{suite} {k}" not in failing,
+                                          "stub", {}, 0.0) for k in (1, 2)]
+            monkeypatch.setitem(verify.SUITES, suite, lambda results=results: results)
+
+    def test_all_runs_every_suite_in_order(self, monkeypatch):
+        self.stub_suites(monkeypatch)
+        assert [r.name for r in verify.run_suite("all")] == [
+            f"{suite} {k}" for suite in ("census", "boundary", "constructions", "optimizer")
+            for k in (1, 2)]
+
+    def test_failure_exit_1(self, capsys, monkeypatch):
+        self.stub_suites(monkeypatch, failing=("boundary 2", "optimizer 1"))
+        code, out, err = run(capsys, "verify", "--suite", "all")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[3] == "FAIL boundary 2: stub (0.00 s)"
+        assert lines[6] == "FAIL optimizer 1: stub (0.00 s)"
+        assert sum(ln.startswith("PASS ") for ln in lines) == 6
+        assert err == "first failing invariant: boundary 2\n"
 
     def test_other_subcommands_do_not_load_the_checks(self):
         src = os.path.dirname(os.path.dirname(triprofile.__file__))

@@ -475,6 +475,13 @@ class TestFiniteCensus:
         assert path == "bitset"
         assert finite_census(spec) == counts == census_fast(realize(spec))
 
+    def test_seeded_at_2000(self):
+        # criterion 8 counts through finite_census up to this size
+        for family, params in (("g0", {"x": 0.03}), ("g2", {"a": 0.3, "p": 0.6}),
+                               ("s12", {"a": 0.5, "p": 0.3})):
+            spec = FamilySpec(family, params, n=2000, seed=1)
+            assert finite_census(spec) == realized_census(spec)
+
     def test_bitset_memory(self):
         # the bitset is 2 MB; with the edges kept as int64 arrays beside it,
         # this census peaked at 69.5 MB

@@ -7,7 +7,7 @@ from triprofile import (DomainError, analytic_candidates, closed_form_max,
                         linked_cliques_profile, maximize_grid, objective,
                         optimal_sigma, s13_upper_bound, s13_upper_slope,
                         stationarity_residual, stationary_y)
-from triprofile import boundary, optimizer
+from triprofile import boundary, optimizer, verify
 from triprofile.optimizer import ALPHA_HI, FeasiblePoint, _term, _term_slopes
 
 ALPHAS = (2.05, 2.1, 2.2, 2.3, 2.41)
@@ -57,10 +57,24 @@ class TestStationaryY:
 class TestClosedForm:
     def test_two_printed_forms_agree(self):
         for a in (2.05, 2.2, 2.41):
-            v = closed_form_max(a)  # raises if the two forms disagree > 1e-12
+            v = closed_form_max(a)
             sg = optimal_sigma(a)
             d1, d3 = linked_cliques_profile(sg)
             assert abs(v - (d1 - a * d3)) <= 1e-12
+
+    def test_dual_forms_reports_a_mismatch(self, monkeypatch):
+        # verify.dual_forms is the one check of the closed form against the
+        # linked-cliques profile; a wrong profile fails it and raises nowhere
+        profile = boundary.linked_cliques_profile
+
+        def shifted(sigma):
+            d1, d3 = profile(sigma)
+            return d1 + 1e-9, d3
+
+        monkeypatch.setattr(boundary, "linked_cliques_profile", shifted)
+        res = verify.dual_forms((2.2,))
+        assert not res.passed
+        assert res.detail == "max error 1.00e-09"
 
     def test_limit_at_left_endpoint(self):
         # as a -> 2+ the maximum tends to the tangent intercept at x = 1/9
