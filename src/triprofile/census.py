@@ -828,6 +828,18 @@ def write_edge_list(g: Graph, path) -> None:
             f.write(f"{u} {v}\n")
 
 
+def _json_numbers(value) -> bool:
+    """Whether every leaf of a parsed JSON value is a number (not a bool)."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+    return True
+
+
 def read_step_graphon(path) -> StepGraphon:
     """Parse a step-graphon document: JSON with keys "sizes" and "probs"."""
     try:
@@ -840,6 +852,11 @@ def read_step_graphon(path) -> StepGraphon:
             'step-graphon document must be an object with keys "sizes" and "probs"')
     if "sizes" not in doc or "probs" not in doc:
         raise InputFormatError('missing key: "sizes" and "probs" are both required')
+    for key in ("sizes", "probs"):
+        # StepGraphon's float conversion would take "0.5" and true as numbers
+        if not _json_numbers(doc[key]):
+            raise InputFormatError(f"invalid step graphon: {key} must be a "
+                                   f"rectangular array of real numbers")
     try:
         return StepGraphon(doc["sizes"], doc["probs"])
     except DomainError as e:

@@ -7,6 +7,7 @@ serialized with 17 significant digits so CSV output round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import itertools
 import json
@@ -82,8 +83,6 @@ def _write_lines(lines, out) -> None:
 
 
 def cmd_boundary(args) -> int:
-    if args.samples < 2:
-        raise DomainError("--samples must be at least 2")
     rows = bnd.sample_boundary(args.region, args.samples)
     lines = itertools.chain(
         ["param,x,y,branch"],
@@ -101,22 +100,34 @@ def cmd_member(args) -> int:
     return 0
 
 
-def _parse_params(pairs) -> dict:
-    params = {}
+def _keyed(pairs, option: str, form: str):
+    """(key, raw value) of each key=... item of a repeated option."""
     for item in pairs or []:
         if "=" not in item:
-            raise DomainError(f"--param expects key=value (got {item!r})")
+            raise DomainError(f"{option} expects {form} (got {item!r})")
         key, _, raw = item.partition("=")
+        yield key, raw
+
+
+def _numbers(raw: str, convert, what: str, kind: str) -> list:
+    """The comma-separated values of raw, empty items skipped; at least one."""
+    try:
+        values = [convert(tok) for tok in raw.split(",") if tok != ""]
+    except ValueError:
+        raise DomainError(f"{what} is not a list of {kind}: {raw!r}") from None
+    if not values:
+        raise DomainError(f"{what} must name at least one value")
+    return values
+
+
+def cmd_construct(args) -> int:
+    params = {}
+    for key, raw in _keyed(args.param, "--param", "key=value"):
         try:
             params[key.strip()] = float(raw)
         except ValueError:
             raise DomainError(f"parameter {key!r} is not a number: {raw!r}") from None
-    return params
-
-
-def cmd_construct(args) -> int:
-    spec = cons.FamilySpec(args.family, _parse_params(args.param),
-                           n=args.n, seed=args.seed)
+    spec = cons.FamilySpec(args.family, params, n=args.n, seed=args.seed)
     g = cons.realize(spec)
     write_edge_list(g, args.out)
     lim = graphon_densities(cons.limit_graphon(spec))
@@ -127,10 +138,8 @@ def cmd_construct(args) -> int:
         "params": spec.params,
         "n": spec.n,
         "seed": spec.seed,
-        "limit": {"d0": lim.d0, "d1": lim.d1, "d2": lim.d2, "d3": lim.d3,
-                  "d_e": lim.d_e},
-        "census": {"d0": fin.d0, "d1": fin.d1, "d2": fin.d2, "d3": fin.d3,
-                   "d_e": fin.d_e},
+        "limit": dataclasses.asdict(lim),
+        "census": dataclasses.asdict(fin),
         "max_deviation": dev,
     }
     sidecar = args.out + ".summary.json"
@@ -143,42 +152,17 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _parse_grid(pairs) -> dict:
-    grids = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise DomainError(f"--param-grid expects key=v1,v2,... (got {item!r})")
-        key, _, raw = item.partition("=")
-        try:
-            grids[key.strip()] = [float(tok) for tok in raw.split(",") if tok != ""]
-        except ValueError:
-            raise DomainError(f"grid for {key!r} is not numeric: {raw!r}") from None
-        if not grids[key.strip()]:
-            raise DomainError(f"grid for {key!r} is empty")
-    return grids
-
-
 def cmd_sweep(args) -> int:
-    grids = _parse_grid(args.param_grid)
+    grids = {key.strip(): _numbers(raw, float, f"grid for {key!r}", "numbers")
+             for key, raw in _keyed(args.param_grid, "--param-grid", "key=v1,v2,...")}
     if not grids:
         raise DomainError("at least one --param-grid is required")
-    try:
-        n_list = [int(tok) for tok in args.n_list.split(",") if tok != ""]
-    except ValueError:
-        raise DomainError(f"--n-list is not a list of integers: {args.n_list!r}") from None
-    if not n_list:
-        raise DomainError("--n-list must name at least one size")
-    try:
-        seeds = [int(tok) for tok in (args.seeds or "0").split(",") if tok != ""]
-    except ValueError:
-        raise DomainError(f"--seeds is not a list of integers: {args.seeds!r}") from None
-    if not seeds:
-        raise DomainError("--seeds must name at least one seed")
+    n_list = _numbers(args.n_list, int, "--n-list", "integers")
+    seeds = _numbers(args.seeds or "0", int, "--seeds", "integers")
 
     keys = sorted(grids)
-    combos = [{}]
-    for key in keys:
-        combos = [dict(c, **{key: v}) for c in combos for v in grids[key]]
+    combos = [dict(zip(keys, values))
+              for values in itertools.product(*(grids[k] for k in keys))]
 
     lines = ["family,params,n,seed,d0,d1,d2,d3,d_e,"
              "lim_d0,lim_d1,lim_d2,lim_d3,lim_d_e,max_dev"]

@@ -370,13 +370,10 @@ def g0_graph(x: float, n: int, seed: int = 0) -> Graph:
 
 
 def g1_graphon(a: float, x: float) -> StepGraphon:
-    """g0_graphon(x) scaled to mass 1-a plus a fully-joined block of mass a."""
+    """g0_graphon(x) scaled to mass 1-a plus a fully-joined block of mass a;
+    _graphon drops the empty side, so a = 0 gives g0_graphon(x) and a = 1
+    the complete graphon."""
     a = _check_range("a", a, 0.0, 1.0)
-    if a == 0.0:
-        return g0_graphon(x)
-    if a == 1.0:
-        _check_range("x", x, -0.25, 0.25)
-        return StepGraphon([1.0], [[1.0]])
     base = g0_graphon(x)
     b = base.num_blocks
     sizes = np.concatenate([[a], (1.0 - a) * base.sizes])

@@ -57,8 +57,6 @@ _GRID_BYTES_PER_POINT = 33
 _GRID_MAX_BYTES = 1 << 32
 # Polish sweeps before refinement is declared not to converge.
 _POLISH_SWEEPS = 10000
-# Central-difference step of stationarity_residual.
-_FD_STEP = 1e-6
 
 
 def validate_alpha(alpha: float) -> float:
@@ -293,37 +291,26 @@ def analytic_candidates(alpha: float) -> list:
 
 
 def stationarity_residual(point: FeasiblePoint, alpha: float) -> float:
-    """Karush-Kuhn-Tucker residual at a feasible point, by central differences.
+    """Karush-Kuhn-Tucker residual at a feasible point, from F's partials.
 
-    The x-gradient (at fixed y) must be constant across the support of x,
-    with the common value playing the simplex multiplier; each interior y
-    must be a critical point and each pinned y must have its gradient
-    pointing into the bound.
+    With c(y) = 3 - a - 3(3-a) y - 3(a-1) y^2, F's j-th term has
+    dF/dx_j = 3 x_j^2 c(y_j) + 6 x_j y_j (at fixed y) and
+    dF/dy_j = x_j^3 c'(y_j) + 3 x_j^2, c'(y) = -3(3-a) - 6(a-1) y.
+    The x-gradient must be constant across the support of x, with the
+    common value playing the simplex multiplier; each interior y must be a
+    critical point and each pinned y must have its gradient pointing into
+    the bound.
     """
     a = float(alpha)
-    x = list(point.x)
-    y = list(point.y)
-
-    def fx(j, v):
-        xs = x.copy()
-        xs[j] = v
-        return objective(xs, y, a)
-
-    def fy(j, v):
-        ys = y.copy()
-        ys[j] = v
-        return objective(x, ys, a)
-
-    support = [j for j in range(3) if x[j] > 1e-12]
-    h = _FD_STEP
-    grads = [(fx(j, x[j] + h) - fx(j, x[j] - h)) / (2.0 * h) for j in support]
+    support = [(float(x), float(y)) for x, y in zip(point.x, point.y) if x > 1e-12]
+    grads = [3.0 * x * x * _cubic_coefficient(y, a) + 6.0 * x * y for x, y in support]
     lam = sum(grads) / len(grads)
     residual = max(abs(g - lam) for g in grads)
-    for j in support:
-        gy = (fy(j, y[j] + h) - fy(j, y[j] - h)) / (2.0 * h)
-        if y[j] >= 1.0 - 1e-9:
+    for x, y in support:
+        gy = x ** 3 * (-3.0 * (3.0 - a) - 6.0 * (a - 1.0) * y) + 3.0 * x * x
+        if y >= 1.0 - 1e-9:
             residual = max(residual, max(0.0, -gy))
-        elif y[j] <= 0.5 + 1e-9:
+        elif y <= 0.5 + 1e-9:
             residual = max(residual, max(0.0, gy))
         else:
             residual = max(residual, abs(gy))

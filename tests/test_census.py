@@ -789,6 +789,19 @@ class TestFiles:
         with pytest.raises(InputFormatError, match="probs"):
             read_step_graphon(p)
 
+    @pytest.mark.parametrize("doc,key", [
+        ('{"sizes": ["0.5", "0.5"], "probs": [[1, 0], [0, 1]]}', "sizes"),
+        ('{"sizes": [1], "probs": [[true]]}', "probs"),
+        ('{"sizes": [1], "probs": [[null]]}', "probs"),
+    ])
+    def test_graphon_leaves_must_be_json_numbers(self, tmp_path, doc, key):
+        # numpy's float conversion reads "0.5" and true as numbers
+        p = tmp_path / "w.json"
+        p.write_text(doc)
+        with pytest.raises(InputFormatError, match=(
+                f"^invalid step graphon: {key} must be a rectangular array of real numbers$")):
+            read_step_graphon(p)
+
 
 def line_loop_graph(path) -> Graph:
     """read_edge_list by the line loop alone: the parser without a fast path."""

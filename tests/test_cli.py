@@ -112,6 +112,9 @@ class TestCensus:
         ('{"sizes": "abc", "probs": [[1]]}', "sizes must be a rectangular array of real numbers"),
         ('{"sizes": [[0.5], [0.5]], "probs": [[1, 0], [0, 1]]}',
          "sizes must be a one-dimensional list of block weights"),
+        ('{"sizes": ["0.5", "0.5"], "probs": [[true, false], [false, "1e0"]]}',
+         "sizes must be a rectangular array of real numbers"),
+        ('{"sizes": [1], "probs": [[true]]}', "probs must be a rectangular array of real numbers"),
     ])
     def test_graphon_malformed_arrays_exit_2(self, capsys, tmp_path, doc, text):
         p = tmp_path / "w.json"
@@ -119,6 +122,15 @@ class TestCensus:
         code, out, err = run(capsys, "census", str(p), "--graphon")
         assert code == 2 and out == ""
         assert err == f"error: invalid step graphon: {text}\n"
+
+    @pytest.mark.parametrize("doc", ["[0.5, 0.5]", '{"sizes": [1], "probs": [[0]], "extra": 1}'])
+    def test_graphon_not_an_object_exit_2(self, capsys, tmp_path, doc):
+        p = tmp_path / "w.json"
+        p.write_text(doc)
+        code, out, err = run(capsys, "census", str(p), "--graphon")
+        assert code == 2 and out == ""
+        assert err == ('error: step-graphon document must be an object with keys '
+                       '"sizes" and "probs"\n')
 
     def test_too_small_exit_1(self, capsys, tmp_path):
         p = tmp_path / "tiny.edges"
@@ -203,6 +215,11 @@ class TestBoundary:
     def test_unknown_region_exit_1(self, capsys):
         code, _, _ = run(capsys, "boundary", "--region", "s99", "--samples", "10")
         assert code == 1
+
+    def test_one_sample_exit_1(self, capsys):
+        code, out, err = run(capsys, "boundary", "--region", "s13", "--samples", "1")
+        assert code == 1 and out == ""
+        assert err == "error: count must be at least 2\n"
 
     def test_samples_too_large_exit_1(self, tmp_path):
         # its rows alone would need 936 GB: refused before any allocation,
@@ -296,6 +313,18 @@ class TestConstruct:
             "(7.32e+11 bytes at 84 an edge), over the 17179869184-byte budget\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("param,text", [
+        ("x", "--param expects key=value (got 'x')"),
+        ("x=q", "parameter 'x' is not a number: 'q'"),
+    ])
+    def test_bad_param_exit_1(self, capsys, tmp_path, param, text):
+        out = tmp_path / "x.edges"
+        code, stdout, err = run(capsys, "construct", "--family", "g0", "--param", param,
+                                "--n", "100", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {text}\n"
+        assert not out.exists()
+
     def test_invalid_family_lists_ranges(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--family", "g0",
                            "--param", "x=0.9", "--n", "100",
@@ -344,6 +373,21 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "--seeds is not a list of integers: 'abc'" in err
+
+    @pytest.mark.parametrize("argv,text", [
+        (["--param-grid", "x"], "--param-grid expects key=v1,v2,... (got 'x')"),
+        (["--param-grid", "x=a"], "grid for 'x' is not a list of numbers: 'a'"),
+        (["--param-grid", "x="], "grid for 'x' must name at least one value"),
+        ([], "at least one --param-grid is required"),
+        (["--param-grid", "x=0.1", "--n-list", "5x"],
+         "--n-list is not a list of integers: '5x'"),
+        (["--param-grid", "x=0.1", "--seeds", ","], "--seeds must name at least one value"),
+    ])
+    def test_bad_lists_exit_1(self, capsys, argv, text):
+        # a later --n-list replaces the default one
+        code, out, err = run(capsys, "sweep", "--family", "g0", "--n-list", "50", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {text}\n"
 
     def test_sampled_graph_too_large_exit_1(self):
         # above the bitset cap a sampled census draws a graph: n=50000 at

@@ -214,6 +214,11 @@ class TestS23Family:
             d = graphon_densities(s23_graphon(0.0, b))
             assert abs(d.d3 - b ** 3) <= 1e-15 and d.d2 == 0.0
 
+    def test_b_zero_is_empty(self):
+        # without its own branch a = 0.0005 would need 2000 parts of weight 0
+        w = s23_graphon(0.0005, 0.0)
+        assert w.sizes.tolist() == [1.0] and w.probs.tolist() == [[0.0]]
+
     def test_boundary_attainment(self):
         for a in np.linspace(0.02, 0.5, 30):
             d = graphon_densities(s23_graphon(float(a), 1.0))

@@ -201,6 +201,55 @@ class TestMaximizeGrid:
                    if c.label.startswith("interior optimum")][0]
             assert stationarity_residual(opt.point, a) <= 1e-8
 
+    def test_residual_at_analytic_optimum_is_round_off(self):
+        # the closed-form partials vanish there exactly; central differences
+        # of the objective read up to 3.7e-11
+        for a in ALPHAS:
+            opt = [c for c in analytic_candidates(a)
+                   if c.label.startswith("interior optimum")][0]
+            assert stationarity_residual(opt.point, a) <= 1e-14
+
+    @staticmethod
+    def _central_difference_residual(point, a, h=1e-6):
+        x, y = point.x, point.y
+
+        def partial(k):
+            # dF by the k-th of (x1, x2, x3, y1, y2, y3)
+            up, down = list(x + y), list(x + y)
+            up[k] += h
+            down[k] -= h
+            return (objective(up[:3], up[3:], a) - objective(down[:3], down[3:], a)) / (2 * h)
+
+        support = [j for j in range(3) if x[j] > 1e-12]
+        grads = [partial(j) for j in support]
+        lam = sum(grads) / len(grads)
+        residual = max(abs(g - lam) for g in grads)
+        for j in support:
+            gy = partial(3 + j)
+            if y[j] >= 1.0 - 1e-9:
+                residual = max(residual, -gy)
+            elif y[j] <= 0.5 + 1e-9:
+                residual = max(residual, gy)
+            else:
+                residual = max(residual, abs(gy))
+        return residual
+
+    def test_residual_matches_central_differences(self):
+        rng = np.random.default_rng(18)
+        for kind in ("interior", "stationary", "pinned at 1", "pinned at 1/2"):
+            for _ in range(500):
+                a = float(rng.uniform(2.0 + 1e-6, ALPHA_HI - 1e-6))
+                x = rng.dirichlet([1, 1, 1])
+                if kind == "stationary":
+                    y = [stationary_y(v, a) for v in x]
+                else:
+                    y = list(0.5 + 0.5 * rng.uniform(0.01, 0.99, 3))
+                    if kind != "interior":
+                        y[int(rng.integers(3))] = 1.0 if kind == "pinned at 1" else 0.5
+                point = FeasiblePoint(x=tuple(map(float, x)), y=tuple(map(float, y)))
+                ref = self._central_difference_residual(point, a)
+                assert abs(stationarity_residual(point, a) - ref) <= 1e-8, (kind, point, a)
+
     def test_domination_20_point_alpha_grid(self):
         rng = np.random.default_rng(41)
         for a in np.linspace(2.0 + 1e-6, ALPHA_HI - 1e-6, 20):
