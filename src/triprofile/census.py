@@ -305,8 +305,8 @@ def _forward_edges(g: Graph) -> tuple:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     src, dst = g.directed_edges()
-    fwd = rank[dst] > rank[src]
-    return src[fwd], dst[fwd]
+    keep = np.flatnonzero(rank[dst] > rank[src])
+    return src[keep], dst[keep]
 
 
 def _triangles_bitset(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
@@ -847,6 +847,9 @@ def read_step_graphon(path) -> StepGraphon:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InputFormatError(f"not a valid step-graphon document: {e}") from None
+    except RecursionError:
+        raise InputFormatError(
+            "not a valid step-graphon document: nested too deeply") from None
     if not isinstance(doc, dict) or set(doc) - {"sizes", "probs"}:
         raise InputFormatError(
             'step-graphon document must be an object with keys "sizes" and "probs"')

@@ -3,11 +3,16 @@
 Subcommands: census, boundary, member, construct, sweep, optimize, verify.
 Exit codes: 0 success, 1 domain error, 2 I/O or parse error.  Floats are
 serialized with 17 significant digits so CSV output round-trips exactly.
+
+main builds its parser once per process and finds each subcommand's handler,
+cmd_<name>, by name when called, so a handler rebound on this module after
+import (a tracing wrapper, a test stub) is the one that runs.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -215,6 +220,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triprofile",
@@ -229,20 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="membership tolerance (default 10/n for graphs, 1e-9 "
                         "for graphons)")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("boundary", help="sample a region boundary as CSV")
     p.add_argument("--region", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("member", help="test a point against a region")
     p.add_argument("--region", required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("construct", help="realize a construction family")
     p.add_argument("--family", required=True)
@@ -250,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="edge-list output path")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("sweep", help="finite-vs-limit deviation table")
     p.add_argument("--family", required=True)
@@ -258,35 +260,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True)
     p.add_argument("--seeds", default=None)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="grid-verify the clique-structure maximum")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--grid", type=int, default=400)
     p.add_argument("--refine-tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", default="all",
                    choices=["all", "census", "boundary", "constructions",
                             "optimizer"])
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except DomainError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    except InputFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except OSError as e:
+    except (InputFormatError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import triprofile
-from triprofile import verify
+from triprofile import cli, verify
 from triprofile.cli import main
 
 
@@ -131,6 +131,18 @@ class TestCensus:
         assert code == 2 and out == ""
         assert err == ('error: step-graphon document must be an object with keys '
                        '"sizes" and "probs"\n')
+
+    @pytest.mark.parametrize("depth,text", [
+        (70, "invalid step graphon: sizes must be a rectangular array of real numbers"),
+        (900, "invalid step graphon: sizes must be a rectangular array of real numbers"),
+        (100_000, "not a valid step-graphon document: nested too deeply"),
+    ])
+    def test_graphon_nested_exit_2(self, capsys, tmp_path, depth, text):
+        p = tmp_path / "w.json"
+        p.write_text('{"sizes": ' + "[" * depth + "]" * depth + ', "probs": [[1]]}')
+        code, out, err = run(capsys, "census", str(p), "--graphon")
+        assert code == 2 and out == ""
+        assert err == f"error: {text}\n"
 
     def test_too_small_exit_1(self, capsys, tmp_path):
         p = tmp_path / "tiny.edges"
@@ -402,6 +414,59 @@ class TestSweep:
             "error: sampled graph too large to draw: n=50000 would have about "
             "6.73e+08 edges (5.65e+10 bytes at 84 an edge), over the "
             "17179869184-byte budget\n")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call must parse afresh."""
+
+    MEMBER = ("member", "--region", "s13", "--x", "0.4", "--y", "0.01")
+
+    def test_repeated_sweep_same_bytes(self, capsys):
+        argv = ("sweep", "--family", "g2", "--param-grid", "a=0.3",
+                "--param-grid", "p=0.6", "--n-list", "500", "--seeds", "1")
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1].count("\n") == 2
+        assert run(capsys, *argv) == first
+
+    def test_construct_params_do_not_carry_over(self, capsys, tmp_path):
+        argv = ("construct", "--family", "g2", "--param", "a=0.3", "--param", "p=0.6",
+                "--n", "300", "--seed", "1", "--out")
+        first, again = tmp_path / "first.edges", tmp_path / "again.edges"
+        cli.build_parser.cache_clear()
+        assert run(capsys, *argv, str(first))[0] == 0
+        # g1 takes a and x, g2 takes a and p: a carried-over --param is refused
+        assert run(capsys, "construct", "--family", "g1", "--param", "a=0.5",
+                   "--param", "x=0.1", "--n", "200", "--out",
+                   str(tmp_path / "other.edges"))[0] == 0
+        assert run(capsys, *argv, str(again))[0] == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert (tmp_path / "again.edges.summary.json").read_bytes() == \
+            (tmp_path / "first.edges.summary.json").read_bytes()
+
+    @pytest.mark.parametrize("bad", [("member", "--region", "s13", "--x", "nope", "--y", "0"),
+                                     ("member", "--x", "0.4"),
+                                     ("no-such-command",)])
+    def test_usage_error_then_valid_call(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, *self.MEMBER)
+        assert code == 0 and err == ""
+        assert out == ("verdict: inside\nslack: 0.0050000000000000044\n"
+                       "binding: d1<=s13_upper(d3):linear\n")
+
+    def test_handler_found_by_name_at_call_time(self, capsys, monkeypatch):
+        assert run(capsys, *self.MEMBER)[0] == 0
+        seen = []
+
+        def stub(args):
+            seen.append((args.region, args.x, args.y))
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_member", stub)
+        assert run(capsys, *self.MEMBER) == (7, "", "")
+        assert seen == [("s13", 0.4, 0.01)]
 
 
 class TestOptimize:
