@@ -58,6 +58,9 @@ _TILE = 256
 # token positions are O(chunk), beside the endpoint array itself.  At 256 KB
 # they stay in cache; 8 MB chunks parsed a 41 MB file 40% slower.
 _EDGE_CHUNK = 1 << 18
+# Lines write_edge_list formats and writes at once: one write call each,
+# O(block) memory.
+_WRITE_LINES = 1 << 16
 # Longest token the fast parser takes: 18 digits stay below 2^63.
 _MAX_DIGITS = 18
 # Most vertices a Graph may have: an edgeless graph costs about 32 bytes per
@@ -91,9 +94,11 @@ class Graph:
         ``edges`` is an (m, 2) integer array, taken as it is (no per-row
         copy), or any iterable of pairs (a list of tuples, a generator, the
         ``zip`` from :meth:`edges`).  Raises ``DomainError`` when the input
-        is not (u, v) pairs, an endpoint lies outside 0..n-1, an edge is a
-        self-loop, an edge appears twice in either orientation, or n is above
-        _MAX_VERTICES (checked before anything is allocated).
+        is not (u, v) pairs of integers (a float, bool or object endpoint is
+        refused by its dtype, not truncated), an endpoint lies outside
+        0..n-1, an edge is a self-loop, an edge appears twice in either
+        orientation, or n is above _MAX_VERTICES (checked before anything is
+        allocated).
 
         Both orientations' keys ``u*n + v`` are sorted once; equal adjacent
         keys are duplicates, and the sorted keys are the CSR rows.
@@ -103,9 +108,15 @@ class Graph:
         _check_vertex_count(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        arr = np.asarray(edges, dtype=np.int64)
+        try:
+            arr = np.asarray(edges)
+        except ValueError:      # ragged pairs
+            raise DomainError("edges must be (u, v) pairs") from None
         if arr.size == 0:
             arr = arr.reshape(0, 2)
+        elif arr.dtype.kind not in "iu":
+            raise DomainError(f"edge endpoints must be integers (got {arr.dtype} values)")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise DomainError("edges must be (u, v) pairs")
         if arr.size:
@@ -582,8 +593,11 @@ def densities(c: TripleCensus) -> DensityVector:
     """Normalize a census to densities; edge density via the triple identity.
 
     d_e = (d1 + 2 d2 + 3 d3) / 3, cross-checked against m / C(n,2); the two
-    agree exactly because every edge lies in n-2 triples.
+    agree exactly because every edge lies in n-2 triples.  A census of
+    fewer than 3 vertices has no triples, so DomainError.
     """
+    if c.n < 3:
+        raise DomainError(f"densities need at least 3 vertices (got n={c.n})")
     total = math.comb(c.n, 3)
     d0, d1, d2, d3 = (x / total for x in c.counts)
     d_e = (d1 + 2 * d2 + 3 * d3) / 3.0
@@ -821,11 +835,16 @@ def _parse_edge_lines(lines_in) -> tuple:
 
 
 def write_edge_list(g: Graph, path) -> None:
-    """Write a graph in the edge-list format, with the "n <N>" directive."""
+    """Write a graph in the edge-list format, with the "n <N>" directive,
+    then one "u v" line per edge, u < v, in the order of :meth:`Graph.edges`."""
+    src, dst = g.directed_edges()
+    keep = src < dst
+    pairs = np.column_stack([src[keep], dst[keep]])
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"n {g.n}\n")
-        for u, v in g.edges():
-            f.write(f"{u} {v}\n")
+        for lo in range(0, len(pairs), _WRITE_LINES):
+            block = pairs[lo:lo + _WRITE_LINES]
+            f.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def _json_numbers(value) -> bool:

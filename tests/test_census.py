@@ -81,6 +81,27 @@ class TestGraph:
     def test_rejects_non_pairs(self):
         with pytest.raises(DomainError, match=r"edges must be \(u, v\) pairs"):
             Graph.from_edges(6, np.array([(0, 1, 2), (3, 4, 5)]))
+        with pytest.raises(DomainError, match=r"edges must be \(u, v\) pairs"):
+            Graph.from_edges(6, [(0, 1), (2,)])
+
+    @pytest.mark.parametrize("edges,kind", [
+        ([(0, 1.5)], "float64"), (np.array([[0.0, 1.0]]), "float64"),
+        (np.array([[0, 1]], dtype=np.float32), "float32"),
+        ([(True, False)], "bool"), ([(0, 2 ** 70)], "object"), ([(0, None)], "object")])
+    def test_rejects_non_integer_endpoints(self, edges, kind):
+        # np.asarray(..., dtype=np.int64) would truncate 1.5 to the edge 0-1
+        with pytest.raises(DomainError, match=f"^edge endpoints must be integers "
+                                              f"\\(got {kind} values\\)$"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_integer_endpoints_of_any_width(self, dtype):
+        pairs = [(0, 1), (2, 1), (3, 0)]
+        g = Graph.from_edges(4, pairs)
+        assert Graph.from_edges(4, np.array(pairs, dtype=dtype)) == g
+        assert Graph.from_edges(4, [tuple(map(dtype, e)) for e in pairs]) == g
+        assert Graph.from_edges(4, np.empty((0, 2), dtype=dtype)) == Graph.empty(4)
 
     def test_rejects_too_many_vertices(self):
         with pytest.raises(DomainError, match="vertex count 67108865 too large"):
@@ -363,6 +384,12 @@ class TestDensities:
     def test_empty(self):
         d = densities(census_fast(Graph.empty(12)))
         assert d.profile == (1.0, 0.0, 0.0, 0.0) and d.d_e == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_vertices(self, n):
+        with pytest.raises(DomainError, match=f"^densities need at least 3 vertices "
+                                              f"\\(got n={n}\\)$"):
+            densities(census.TripleCensus(n, 0, 0, 0, 0))
 
     def test_edge_density_cross_check(self):
         rng = np.random.default_rng(5)
@@ -683,6 +710,22 @@ class TestFiles:
         p = tmp_path / "g.edges"
         write_edge_list(g, p)
         assert read_edge_list(p) == g
+
+    @pytest.mark.parametrize("n,p", [(0, 0.0), (5, 0.0), (300, 0.5)])
+    def test_write_same_bytes_as_one_line_a_call(self, monkeypatch, tmp_path, n, p):
+        # the block writer against a writer of one f.write per edge, with
+        # blocks of 7 lines, so a block boundary falls inside the edges
+        g = sample_w_random_graph(StepGraphon([1.0], [[p]]), n, 4) if n else Graph.empty(0)
+        want = tmp_path / "want.edges"
+        with open(want, "w", encoding="utf-8", newline="\n") as f:
+            f.write(f"n {g.n}\n")
+            for u, v in g.edges():
+                f.write(f"{u} {v}\n")
+        for lines in (census._WRITE_LINES, 7):
+            monkeypatch.setattr(census, "_WRITE_LINES", lines)
+            got = tmp_path / f"got{lines}.edges"
+            write_edge_list(g, got)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_directive_allows_isolated(self, tmp_path):
         p = tmp_path / "g.edges"

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -345,7 +346,26 @@ class TestConstruct:
         assert "must lie in" in err
 
 
+GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "golden_sweep.json"
+
+
 class TestSweep:
+    @pytest.mark.parametrize("family,params", [
+        ("g0", {"x": 0.03}), ("g2", {"a": 0.3, "p": 0.6}), ("s12", {"a": 0.5, "p": 0.3})])
+    def test_seeded_rows_match_golden(self, capsys, family, params):
+        # the finite columns of the seeded criterion-8 cases at n = 500, as the
+        # benchmark's golden file holds them: a change to a seeded graph shows
+        cases = [c for c in json.loads(GOLDEN_SWEEP.read_text(encoding="utf-8"))["cases"]
+                 if c["family"] == family and c["params"] == params]
+        assert len(cases) == 3
+        grid = [a for k, v in params.items() for a in ("--param-grid", f"{k}={v!r}")]
+        seeds = ",".join(str(c["seed"]) for c in cases)
+        code, out, _ = run(capsys, "sweep", "--family", family, *grid,
+                           "--n-list", "500", "--seeds", seeds)
+        assert code == 0
+        assert ([",".join(line.split(",")[:9]) for line in out.splitlines()[1:]]
+                == [c["rows"][0] for c in cases])
+
     def test_deviations_decrease(self, capsys):
         code, out, _ = run(capsys, "sweep", "--family", "g0",
                            "--param-grid", "x=-0.1,0.2",

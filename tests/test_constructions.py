@@ -608,3 +608,30 @@ class TestFiniteCensus:
         spec = FamilySpec(family, params, n=data.draw(st.integers(0, 300)),
                           seed=data.draw(st.integers(0, 2 ** 32 - 1)))
         assert census_outcome(finite_census, spec) == census_outcome(realized_census, spec)
+
+
+def packed_upper(g):
+    """The upper-triangular bitset of g, packed from its edge list."""
+    src, dst = g.directed_edges()
+    keep = src < dst
+    bits = np.zeros((g.n, (g.n + 63) >> 6 << 6), dtype=bool)
+    bits[src[keep], dst[keep]] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+class TestDrawChunks:
+    """The sampler draws and fills a chunk of rows at a time, about
+    _DRAW_CHUNK bytes; the chunk size changes no seeded graph and no bitset."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("n", [63, 64, 65, 1100])
+    @pytest.mark.parametrize("family,params", SEEDED[:4])
+    def test_bitset_is_the_graph_packed(self, monkeypatch, family, params, n, rows):
+        # a budget of one bitset row, of three, and the default, which at
+        # n = 1100 splits the bitset's 1152-column rows into 5 chunks
+        bl = constructions._finite(FamilySpec(family, params, n=n))
+        want = bl.graph(5)
+        if rows is not None:
+            monkeypatch.setattr(constructions, "_DRAW_CHUNK", rows * ((n + 63) >> 6 << 6))
+        assert bl.graph(5) == want
+        assert np.array_equal(bl.bitset(5), packed_upper(want))
