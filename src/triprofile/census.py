@@ -9,6 +9,7 @@ as the limit of sampling three independent points.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -46,7 +47,7 @@ _WEDGE_COST = 20
 _BITSET_MAX_BYTES = 1 << 28
 # Wedges checked at once by the wedge kernel: its scratch memory.
 _WEDGE_CHUNK = 1 << 20
-# Words in each of the bitset kernel's two row-gather buffers.
+# Words of rows the bitset kernel gathers a side at once.
 _GATHER_WORDS = 1 << 16
 # Rows in each band of a blow-up's upper-triangular bitset that the tile
 # kernel unpacks to float32 at once: O(_TILE * n) memory.  A tile product
@@ -95,7 +96,8 @@ class Graph:
         copy), or any iterable of pairs (a list of tuples, a generator, the
         ``zip`` from :meth:`edges`).  Raises ``DomainError`` when the input
         is not (u, v) pairs of integers (a float, bool or object endpoint is
-        refused by its dtype, not truncated), an endpoint lies outside
+        refused, not truncated: by its dtype, and a bool among the ints of
+        a list by its type), an endpoint lies outside
         0..n-1, an edge is a self-loop, an edge appears twice in either
         orientation, or n is above _MAX_VERTICES (checked before anything is
         allocated).
@@ -106,7 +108,8 @@ class Graph:
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
         _check_vertex_count(n)
-        if not isinstance(edges, np.ndarray):
+        listed = not isinstance(edges, np.ndarray)
+        if listed:
             edges = list(edges)
         try:
             arr = np.asarray(edges)
@@ -116,6 +119,9 @@ class Graph:
             arr = arr.reshape(0, 2)
         elif arr.dtype.kind not in "iu":
             raise DomainError(f"edge endpoints must be integers (got {arr.dtype} values)")
+        elif listed and arr.ndim == 2 and _has_bool(edges):
+            # numpy promotes a bool among ints to int64, so the dtype is blind
+            raise DomainError("edge endpoints must be integers (got bool values)")
         arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise DomainError("edges must be (u, v) pairs")
@@ -193,6 +199,12 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _has_bool(pairs: list) -> bool:
+    """Whether any endpoint of the (u, v) pairs is a Python or numpy bool."""
+    kinds = set(map(type, itertools.chain.from_iterable(pairs)))
+    return bool in kinds or np.bool_ in kinds
 
 
 def _check_vertex_count(n: int) -> None:
@@ -306,15 +318,27 @@ class StepGraphon:
         return f"StepGraphon(blocks={self.num_blocks})"
 
 
+def _rank(g: Graph) -> np.ndarray:
+    """rank[w]: the place of vertex w in (degree, id) order.
+
+    One stable argsort of the degrees keeps ties in id order.  Degrees
+    that fit in uint16 are narrowed first, so numpy radix-sorts them.
+    """
+    n = g.n
+    deg = g.degrees
+    if n and deg.max() <= np.iinfo(np.uint16).max:
+        deg = deg.astype(np.uint16)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    return rank
+
+
 def _forward_edges(g: Graph) -> tuple:
     """Every edge once, oriented toward the higher (degree, id) rank.
 
     Returned as (u, v) arrays in CSR order: sorted by u, then by v.
     """
-    n = g.n
-    order = np.lexsort((np.arange(n), g.degrees))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank = _rank(g)
     src, dst = g.directed_edges()
     keep = np.flatnonzero(rank[dst] > rank[src])
     return src[keep], dst[keep]
@@ -323,41 +347,56 @@ def _forward_edges(g: Graph) -> tuple:
 def _triangles_bitset(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
     """Triangles of g from its forward edges (u, v) by bitset intersection.
 
-    Each triangle is counted once, at its lowest-ranked edge, as a common
-    forward neighbour of both endpoints.  Memory: n * ceil(n/64) words.
+    Rows and bits are indexed by (degree, id) rank: row r holds the forward
+    neighbours of the vertex of rank r, so it is clear up to bit r.  Each
+    triangle is counted once, at its lowest-ranked edge, as a common forward
+    neighbour of both endpoints; that neighbour ranks above v, so the AND of
+    an edge's rows starts at the word that holds v's rank (Schank & Wagner
+    2005).  The edges are grouped by that word, and each group's rows are
+    ANDed from it on: on a graph of near-equal degrees, about a third of
+    m * ceil(n/64) word-ANDs.  Memory: n * ceil(n/64) words.
     """
     if u.size == 0:
         return 0
     n = g.n
     words = (n + 63) >> 6
+    rank = _rank(g)
+    ru, rv = rank[u], rank[v]
     rows = np.zeros((n, words), dtype=np.uint64)
-    flat = rows.reshape(-1)
-    bits = np.uint64(1) << (v & 63).astype(np.uint64)
-    np.bitwise_or.at(flat, u * words + (v >> 6), bits)
-    return _common_bits(rows, u, v)
+    bits = np.uint64(1) << (rv & 63).astype(np.uint64)
+    np.bitwise_or.at(rows.reshape(-1), ru * words + (rv >> 6), bits)
+    # sorted by rv, the groups of equal rv >> 6 are runs; the bitset cap keeps
+    # n below 2^16, where rv narrowed to uint16 is radix-sorted
+    order = np.argsort(rv.astype(np.uint16) if n <= 1 << 16 else rv, kind="stable")
+    ru, rv = ru[order], rv[order]
+    return _common_bits(rows, ru, rv, rv >> 6)
 
 
-def _common_bits(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
+def _common_bits(rows: np.ndarray, u: np.ndarray, v: np.ndarray, first=None) -> int:
     """sum over e of popcount(rows[u[e]] & rows[v[e]]), in chunks.
 
     With rows[w] the forward neighbours of w as a bitset and (u, v) the
-    forward edges, this is the triangle count.
+    forward edges, this is the triangle count.  When given, first is
+    nondecreasing and both rows of edge e are clear before word first[e],
+    so the AND of each run of equal first[e] starts at that word.
     """
+    if u.size == 0:
+        return 0
     words = rows.shape[1]
-    # Row gathers go into two buffers reused across chunks: fresh chunk-sized
-    # temporaries are faulted in anew whenever the allocator has returned
-    # their pages, which made this loop's cost depend on earlier allocations.
-    # At _GATHER_WORDS words (512 KB) each, the pair stays in cache.
-    chunk = max(1, min(u.size, _GATHER_WORDS // words))
-    a_buf = np.empty((chunk, words), dtype=np.uint64)
-    b_buf = np.empty_like(a_buf)
+    if first is None:
+        first = np.zeros(u.size, dtype=np.int64)
+    cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), u.size]
+    starts = first[cuts[:-1]].tolist()
     total = 0
-    for s in range(0, u.size, chunk):
-        k = min(chunk, u.size - s)
-        a, b = a_buf[:k], b_buf[:k]
-        np.take(rows, u[s:s + k], axis=0, out=a, mode="clip")
-        np.take(rows, v[s:s + k], axis=0, out=b, mode="clip")
-        total += int(np.bitwise_count(np.bitwise_and(a, b, out=a)).sum())
+    for lo, hi, w in zip(cuts, cuts[1:], starts):
+        # Each chunk gathers at most _GATHER_WORDS words of rows a side, so
+        # its two gathers stay in cache.  Indexing copies only the words from
+        # w on; np.take would first copy the whole strided band.
+        chunk = max(1, _GATHER_WORDS // (words - w))
+        for s in range(lo, hi, chunk):
+            a = rows[u[s:min(s + chunk, hi)], w:]
+            b = rows[v[s:min(s + chunk, hi)], w:]
+            total += int(np.bitwise_count(np.bitwise_and(a, b, out=a)).sum())
     return total
 
 
@@ -460,15 +499,23 @@ def _triangles_wedges(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
 
     For each forward edge (u, v) and each w after v in u's forward row, the
     wedge (v, w) closes a triangle exactly when v*n + w is one of the
-    graph's keys src*n + dst, which the CSR holds in sorted order.  Each
-    triangle is found once, from its lowest-ranked vertex.  Wedges are
-    checked in chunks of about _WEDGE_CHUNK, so memory is O(m) plus one
-    chunk.
+    graph's m undirected keys lo*n + hi, lo < hi, which the CSR holds in
+    sorted order; v < w, since each row is sorted by id.  Each triangle is
+    found once, from its lowest-ranked vertex (Latapy 2008).  A bool table
+    of the keys' Fibonacci hashes, the least power of two >= 8m slots,
+    drops most open wedges before the exact search: a key always sets its
+    own slot, so no closed wedge is dropped.  Wedges are checked in chunks
+    of about _WEDGE_CHUNK, so memory is O(m) plus one chunk.
     """
     n, m = g.n, u.size
     keys, dst = g.directed_edges()     # the sources come in a fresh array
+    up = np.flatnonzero(keys < dst)
     keys *= n
     keys += dst
+    keys = keys[up]
+    bits = _filter_bits(m)
+    table = np.zeros(1 << bits, dtype=bool)
+    table[_slot(keys, bits)] = True
     # cnt[e]: wedges of forward edge e, the entries after it in its row
     cnt = np.cumsum(np.bincount(u, minlength=n))[u]
     cnt -= np.arange(1, m + 1)
@@ -490,6 +537,7 @@ def _triangles_wedges(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
             q *= n
             q += v[far]
             del far
+            q = q[np.take(table, _slot(q, bits))]
             # sorted queries walk the keys in order: on sparse graphs, whose
             # keys miss the cache, this cuts the searches' cost by half or more
             q.sort()
@@ -499,13 +547,32 @@ def _triangles_wedges(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
     return total
 
 
+def _filter_bits(m: int) -> int:
+    """log2 of the wedge pre-filter's slots: the least power of two >= 8m."""
+    return (8 * m - 1).bit_length() if m else 0
+
+
+# 2^64 / golden ratio, odd: multiplying by it spreads keys over the high bits
+_FIB = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _slot(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Fibonacci hash of nonnegative int64 keys into 2^bits slots, as int64
+    indices: the top bits of key * _FIB, whose uint64 product wraps by
+    design."""
+    h = keys.view(np.uint64) * _FIB
+    h >>= np.uint64(64 - bits)
+    return h.view(np.int64)
+
+
 def _count_triangles(g: Graph) -> int:
     """Exact triangle count; the kernel is chosen from the graph.
 
     Vertices are ranked by (degree, id) and each edge is oriented toward the
     higher rank.  With m forward edges, d+ the forward degrees and
-    words = ceil(n/64), the bitset kernel does m * words word-ANDs and the
-    wedge kernel checks W = sum C(d+, 2) wedges.  The wedge kernel runs when
+    words = ceil(n/64), the rule prices the bitset kernel at m * words
+    word-ANDs, as _WEDGE_COST was calibrated (its ranked ANDs do fewer), and
+    the wedge kernel at W = sum C(d+, 2) wedges.  The wedge kernel runs when
     _WEDGE_COST * W < m * words, or when the bitset would need more than
     _BITSET_MAX_BYTES, so no input allocates O(n^2) memory.  The choice is
     logged at DEBUG on the "triprofile.census" logger.

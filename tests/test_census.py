@@ -94,6 +94,25 @@ class TestGraph:
                                               f"\\(got {kind} values\\)$"):
             Graph.from_edges(3, edges)
 
+    @pytest.mark.parametrize("edges", [
+        [(True, 2)], [(np.True_, 2)], [(0, 1), (1, False)],
+        [(0, 2), np.array([True, False])]])
+    def test_rejects_bool_among_integer_endpoints(self, edges):
+        # numpy promotes a bool among ints to int64, so [(True, 2)] would be
+        # the edge 1-2
+        for form in (edges, iter(edges)):
+            with pytest.raises(DomainError, match=r"^edge endpoints must be integers "
+                                                  r"\(got bool values\)$"):
+                Graph.from_edges(3, form)
+
+    def test_array_endpoints_checked_by_dtype_alone(self, monkeypatch):
+        # an integer ndarray is never walked element by element
+        monkeypatch.setattr(census, "_has_bool", lambda pairs: pytest.fail("walked"))
+        g = Graph.from_edges(3, np.array([(True, 2)]))
+        assert g.neighbors(1).tolist() == [2]
+        with pytest.raises(DomainError, match=r"\(got bool values\)"):
+            Graph.from_edges(3, np.array([(True, False)]))
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                        np.uint8, np.uint16, np.uint32, np.uint64])
     def test_integer_endpoints_of_any_width(self, dtype):
@@ -168,6 +187,12 @@ def kernel_triangles(kernel, g):
     return kernel(g, *_forward_edges(g))
 
 
+def joined_k2t(t):
+    """K_{2,t} on hubs 0 and 1 and leaves 2..t+1, with the hubs joined."""
+    leaves = range(2, t + 2)
+    return Graph.from_edges(t + 2, [(0, 1)] + [(h, a) for h in (0, 1) for a in leaves])
+
+
 class TestTriangleKernels:
     """Both triangle kernels against the brute-force oracle, called directly,
     since on small graphs the cost rule may always pick the same one."""
@@ -199,6 +224,75 @@ class TestTriangleKernels:
         monkeypatch.setattr(census, "_WEDGE_CHUNK", chunk)
         g = gnp(np.random.default_rng(31), 60, 0.4)
         assert kernel_triangles(_triangles_wedges, g) == census_brute(g).c3
+
+    @pytest.mark.parametrize("bits", [0, 1])
+    def test_filter_collisions_stay_exact(self, monkeypatch, bits):
+        # 1 slot: every wedge passes the pre-filter; 2 slots: keys and open
+        # wedges collide everywhere.  Only the exact search may decide.
+        monkeypatch.setattr(census, "_filter_bits", lambda m: bits)
+        rng = np.random.default_rng(37)
+        for _ in range(12):
+            g = gnp(rng, int(rng.integers(3, 60)), float(rng.random()))
+            assert kernel_triangles(_triangles_wedges, g) == census_brute(g).c3
+        # K_{2,t} with its hubs joined: the one hub pair closes all t wedges
+        for t in (1, 2, 63, 200):
+            g = joined_k2t(t)
+            assert kernel_triangles(_triangles_wedges, g) == census_brute(g).c3 == t
+
+    def test_filter_size(self):
+        # the least power of two >= 8m slots, and every slot index inside it
+        assert [census._filter_bits(m) for m in (0, 1, 2, 3, 4, 5, 200000)] == [
+            0, 3, 4, 5, 5, 6, 21]
+        keys = np.array([0, 1, 2 ** 52 - 1, 2 ** 63 - 1], dtype=np.int64)
+        for bits in (0, 1, 3, 21, 63):
+            slots = census._slot(keys, bits)
+            assert slots.dtype == np.int64
+            assert slots.min() >= 0 and slots.max() < 2 ** bits
+
+    def test_rank_is_degree_then_id(self):
+        # the uint16 radix path, and a star whose hub degree needs int64
+        rng = np.random.default_rng(43)
+        star = Graph.from_edges(70000, np.column_stack([np.zeros(69999, int),
+                                                        np.arange(1, 70000)]))
+        for g in (gnp(rng, 300, 0.1), gnp(rng, 64, 0.5), star):
+            order = np.lexsort((np.arange(g.n), g.degrees))
+            assert census._rank(g)[order].tolist() == list(range(g.n))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_rank_word_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        for p in (0.1, 0.5, 0.95):
+            g = gnp(rng, n, p)
+            want = census_brute(g).c3
+            assert kernel_triangles(_triangles_bitset, g) == want
+            assert kernel_triangles(_triangles_wedges, g) == want
+
+    def test_higher_endpoints_in_one_rank_word(self):
+        # 128 leaves joined only to 40 hubs of higher degree: every forward
+        # edge ends at a hub, and the hubs hold ranks 128..167, all in word 2
+        rng = np.random.default_rng(41)
+        edges = [(a, h) for a in range(128) for h in range(128, 168) if rng.random() < 0.3]
+        edges += [(h, k) for h in range(128, 168) for k in range(h + 1, 168)
+                  if rng.random() < 0.5]
+        g = Graph.from_edges(168, edges)
+        u, v = _forward_edges(g)
+        assert set((census._rank(g)[v] >> 6).tolist()) == {2}
+        want = census_brute(g).c3
+        assert _triangles_bitset(g, u, v) == _triangles_wedges(g, u, v) == want > 0
+
+    @pytest.mark.parametrize("n,m", [(2000, 10000), (300, 10000)])
+    def test_census_files_shapes(self, n, m):
+        # census-files' toy inputs: sparse n=2000 and dense n=300, m=10000
+        rng = np.random.default_rng(n + m)
+        iu, ju = np.triu_indices(n, 1)
+        pick = rng.choice(iu.size, m, replace=False)
+        g = Graph.from_edges(n, np.column_stack([iu[pick], ju[pick]]))
+        adj = [set(g.neighbors(w).tolist()) for w in range(n)]
+        want = sum(len(adj[a] & adj[b]) for a, b in g.edges()) // 3
+        if n <= 300:
+            assert census_brute(g).c3 == want
+        assert kernel_triangles(_triangles_bitset, g) == want
+        assert kernel_triangles(_triangles_wedges, g) == want
 
     def test_selection(self, monkeypatch):
         chosen = []
