@@ -508,8 +508,6 @@ def _s03_crossover() -> float:
     return _solve(diff, slope, 0.2, 0.35, 0.0, start=0.275)
 
 
-# Smooth pieces of each region's boundary polyline, count rows apiece.
-_BOUNDARY_PIECES = {Region.S12: 3, Region.S13: 6, Region.S23: 3, Region.S03: 5}
 # Bytes sample_boundary holds per row: tracemalloc peaked at 137-156 for
 # every region at 10^4 to 4*10^5 samples.
 _SAMPLE_BYTES_PER_ROW = 156
@@ -521,6 +519,40 @@ _SAMPLE_MAX_BYTES = 1 << 32
 def _grid(lo: float, hi: float, count: int) -> list:
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count - 1)] + [hi]
+
+
+def _boundary_pieces(canonical: Region) -> list:
+    """The smooth pieces of a region's boundary polyline, in order, each a
+    function that returns the piece's rows for a count."""
+    def seg(branch, x0, y0, x1, y1):
+        return lambda count: [(t, x0 + t * (x1 - x0), y0 + t * (y1 - y0), branch)
+                              for t in _grid(0.0, 1.0, count)]
+
+    def s13(branch, lo, hi):
+        return lambda count: [(d3, s13_upper_bound(d3), d3, branch)
+                              for d3 in _grid(lo, hi, count)]
+
+    if canonical is Region.S12:
+        return [seg("d2=0", 0.0, 0.0, 0.75, 0.0),
+                seg("d1+d2=3/4", 0.75, 0.0, 0.0, 0.75),
+                seg("d1=0", 0.0, 0.75, 0.0, 0.0)]
+    if canonical is Region.S13:
+        return [*(s13(*piece) for piece in _S13_PIECES),
+                seg("d1=0", 0.0, 1.0, 0.0, 0.0),
+                seg("d3=0", 0.0, 0.0, s13_upper_bound(0.0), 0.0)]
+    if canonical is Region.S23:
+        return [seg("d3=0", 0.0, 0.0, 0.75, 0.0),
+                lambda count: [(d3, 1.5 * (min_triangle_density_inverse(d3) - d3), d3, "curve")
+                               for d3 in _grid(0.0, 1.0, count)],
+                seg("d2=0", 0.0, 1.0, 0.0, 0.0)]
+    cross = _s03_crossover()
+    return [lambda count: [(d0, d0, 0.25 - d0, "goodman") for d0 in _grid(0.0, 0.25, count)],
+            seg("d3=0", 0.25, 0.0, 1.0, 0.0),
+            lambda count: [(d0, d0, _clique_branch(d0), "upper-clique")
+                           for d0 in _grid(1.0, cross, count)],
+            lambda count: [(d0, d0, _coclique_branch(d0), "upper-coclique")
+                           for d0 in _grid(cross, 0.0, count)],
+            seg("d0=0", 0.0, 1.0, 0.0, 0.25)]
 
 
 def sample_boundary(region, count: int) -> list:
@@ -536,43 +568,11 @@ def sample_boundary(region, count: int) -> list:
     if count < 2:
         raise DomainError("count must be at least 2")
     canonical, _ = parse_region(region)
-    pieces = _BOUNDARY_PIECES[canonical]
-    need = count * pieces * _SAMPLE_BYTES_PER_ROW
+    pieces = _boundary_pieces(canonical)
+    need = count * len(pieces) * _SAMPLE_BYTES_PER_ROW
     if need > _SAMPLE_MAX_BYTES:
-        raise DomainError(f"{count} samples too large: the {pieces} pieces of "
+        raise DomainError(f"{count} samples too large: the {len(pieces)} pieces of "
                           f"{canonical.value} would need {need:.3g} bytes "
                           f"({_SAMPLE_BYTES_PER_ROW} a row), over the "
                           f"{_SAMPLE_MAX_BYTES}-byte budget")
-    rows = []
-
-    def seg(branch, x0, y0, x1, y1):
-        for t in _grid(0.0, 1.0, count):
-            rows.append((t, x0 + t * (x1 - x0), y0 + t * (y1 - y0), branch))
-
-    if canonical is Region.S12:
-        seg("d2=0", 0.0, 0.0, 0.75, 0.0)
-        seg("d1+d2=3/4", 0.75, 0.0, 0.0, 0.75)
-        seg("d1=0", 0.0, 0.75, 0.0, 0.0)
-    elif canonical is Region.S13:
-        for branch, lo, hi in _S13_PIECES:
-            for d3 in _grid(lo, hi, count):
-                rows.append((d3, s13_upper_bound(d3), d3, branch))
-        seg("d1=0", 0.0, 1.0, 0.0, 0.0)
-        seg("d3=0", 0.0, 0.0, s13_upper_bound(0.0), 0.0)
-    elif canonical is Region.S23:
-        seg("d3=0", 0.0, 0.0, 0.75, 0.0)
-        for d3 in _grid(0.0, 1.0, count):
-            d2 = 1.5 * (min_triangle_density_inverse(d3) - d3)
-            rows.append((d3, d2, d3, "curve"))
-        seg("d2=0", 0.0, 1.0, 0.0, 0.0)
-    elif canonical is Region.S03:
-        for d0 in _grid(0.0, 0.25, count):
-            rows.append((d0, d0, 0.25 - d0, "goodman"))
-        seg("d3=0", 0.25, 0.0, 1.0, 0.0)
-        cross = _s03_crossover()
-        for d0 in _grid(1.0, cross, count):
-            rows.append((d0, d0, _clique_branch(d0), "upper-clique"))
-        for d0 in _grid(cross, 0.0, count):
-            rows.append((d0, d0, _coclique_branch(d0), "upper-coclique"))
-        seg("d0=0", 0.0, 1.0, 0.0, 0.25)
-    return rows
+    return [row for piece in pieces for row in piece(count)]

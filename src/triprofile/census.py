@@ -38,11 +38,11 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
-# Triangle-kernel choice.  On a 2-core Intel Xeon VM (numpy 2.4) the wedge
-# kernel costs 25-45 ns per wedge and the bitset kernel 2.4-3.8 ns per
-# word-AND, a break-even near 7-19; the wedges run when
-# _WEDGE_COST * W < m * words, so graphs near the break-even keep the bitset.
-_WEDGE_COST = 20
+# The wedges run when _WEDGE_COST * W < the bitset's word-ANDs.  On a 2-core
+# Intel Xeon VM (numpy 2.4), graphs with m = 60 000-400 000 cost 19-25 ns a
+# wedge and 4.1-8.1 ns a word-AND, a break-even of 2.8-5.4 (4.4-4.6 on
+# census-files' dense input, where the word-ANDs are 1.03 W).
+_WEDGE_COST = 4
 # The bitset is never allocated beyond this, whatever the graph.
 _BITSET_MAX_BYTES = 1 << 28
 # Wedges checked at once by the wedge kernel: its scratch memory.
@@ -176,18 +176,10 @@ class Graph:
         return zip(src[keep].tolist(), dst[keep].tolist())
 
     def complement(self) -> "Graph":
-        n = self.n
-        rows = []
-        full = np.arange(n, dtype=np.int64)
-        for v in range(n):
-            mask = np.ones(n, dtype=bool)
-            mask[v] = False
-            mask[self.neighbors(v)] = False
-            rows.append(full[mask])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([r.size for r in rows], out=indptr[1:])
-        nbrs = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        return Graph(n, indptr, nbrs)
+        """The graph whose edges are the pairs i < j that are not edges here."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[self.directed_edges()] = True
+        return Graph.from_edges(self.n, np.argwhere(np.triu(~adj, 1)))
 
     def __eq__(self, other):
         return (
@@ -333,19 +325,9 @@ def _rank(g: Graph) -> np.ndarray:
     return rank
 
 
-def _forward_edges(g: Graph) -> tuple:
-    """Every edge once, oriented toward the higher (degree, id) rank.
-
-    Returned as (u, v) arrays in CSR order: sorted by u, then by v.
-    """
-    rank = _rank(g)
-    src, dst = g.directed_edges()
-    keep = np.flatnonzero(rank[dst] > rank[src])
-    return src[keep], dst[keep]
-
-
-def _triangles_bitset(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
-    """Triangles of g from its forward edges (u, v) by bitset intersection.
+def _triangles_bitset(rank: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
+    """Triangles by bitset intersection, from _kernel_inputs' vertex ranks
+    and forward edges (u, v).
 
     Rows and bits are indexed by (degree, id) rank: row r holds the forward
     neighbours of the vertex of rank r, so it is clear up to bit r.  Each
@@ -353,14 +335,14 @@ def _triangles_bitset(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
     neighbour of both endpoints; that neighbour ranks above v, so the AND of
     an edge's rows starts at the word that holds v's rank (Schank & Wagner
     2005).  The edges are grouped by that word, and each group's rows are
-    ANDed from it on: on a graph of near-equal degrees, about a third of
-    m * ceil(n/64) word-ANDs.  Memory: n * ceil(n/64) words.
+    ANDed from it on: sum(ceil(n/64) - (rank[v] >> 6)) word-ANDs, about a
+    third of m * ceil(n/64) on a graph of near-equal degrees.  Memory:
+    n * ceil(n/64) words.
     """
     if u.size == 0:
         return 0
-    n = g.n
+    n = rank.size
     words = (n + 63) >> 6
-    rank = _rank(g)
     ru, rv = rank[u], rank[v]
     rows = np.zeros((n, words), dtype=np.uint64)
     bits = np.uint64(1) << (rv & 63).astype(np.uint64)
@@ -494,30 +476,26 @@ def _upper_census(rows: np.ndarray) -> TripleCensus:
     return _census(n, int(fwd.sum()), int((deg * (deg - 1) // 2).sum()), t)
 
 
-def _triangles_wedges(g: Graph, u: np.ndarray, v: np.ndarray) -> int:
-    """Triangles of g from its forward edges (u, v) by checking wedges.
+def _triangles_wedges(u: np.ndarray, v: np.ndarray, fdeg: np.ndarray,
+                      keys: np.ndarray) -> int:
+    """Triangles by checking wedges, from _kernel_inputs' forward edges (u, v),
+    forward degrees fdeg and sorted undirected keys lo*n + hi, lo < hi.
 
     For each forward edge (u, v) and each w after v in u's forward row, the
-    wedge (v, w) closes a triangle exactly when v*n + w is one of the
-    graph's m undirected keys lo*n + hi, lo < hi, which the CSR holds in
-    sorted order; v < w, since each row is sorted by id.  Each triangle is
-    found once, from its lowest-ranked vertex (Latapy 2008).  A bool table
-    of the keys' Fibonacci hashes, the least power of two >= 8m slots,
-    drops most open wedges before the exact search: a key always sets its
-    own slot, so no closed wedge is dropped.  Wedges are checked in chunks
-    of about _WEDGE_CHUNK, so memory is O(m) plus one chunk.
+    wedge (v, w) closes a triangle exactly when v*n + w is a key; v < w,
+    since each row is sorted by id.  Each triangle is found once, from its
+    lowest-ranked vertex (Latapy 2008).  A bool table of the keys' Fibonacci
+    hashes, the least power of two >= 8m slots, drops most open wedges
+    before the exact search: a key always sets its own slot, so no closed
+    wedge is dropped.  Wedges are checked in chunks of about _WEDGE_CHUNK,
+    so memory is O(m) plus one chunk.
     """
-    n, m = g.n, u.size
-    keys, dst = g.directed_edges()     # the sources come in a fresh array
-    up = np.flatnonzero(keys < dst)
-    keys *= n
-    keys += dst
-    keys = keys[up]
+    n, m = fdeg.size, u.size
     bits = _filter_bits(m)
     table = np.zeros(1 << bits, dtype=bool)
     table[_slot(keys, bits)] = True
     # cnt[e]: wedges of forward edge e, the entries after it in its row
-    cnt = np.cumsum(np.bincount(u, minlength=n))[u]
+    cnt = np.cumsum(fdeg)[u]
     cnt -= np.arange(1, m + 1)
     ends = np.cumsum(cnt)
     # the r-th wedge of edge e pairs v[e] with v[e + 1 + r]; the wedge's
@@ -565,30 +543,50 @@ def _slot(keys: np.ndarray, bits: int) -> np.ndarray:
     return h.view(np.int64)
 
 
+def _bitset_fits(n: int) -> bool:
+    """Whether n vertices' bitset, n * ceil(n/64) words, fits the cap."""
+    return n * ((n + 63) >> 6) * 8 <= _BITSET_MAX_BYTES
+
+
+def _kernel_inputs(g: Graph) -> tuple:
+    """(rank, u, v, fdeg, keys): all that a triangle count reads of g.
+
+    rank[w] is the place of vertex w in (degree, id) order, and each edge is
+    oriented toward the higher rank: (u, v) are the m forward edges in CSR
+    order, sorted by u, then by v; fdeg[w] is w's forward degree; keys are
+    the m undirected keys lo*n + hi, lo < hi, sorted.
+    """
+    n = g.n
+    rank = _rank(g)
+    src, dst = g.directed_edges()       # the sources come in a fresh array
+    fwd = np.flatnonzero(rank[dst] > rank[src])
+    up = np.flatnonzero(src < dst)
+    u, v = src[fwd], dst[fwd]
+    src *= n
+    src += dst
+    return rank, u, v, np.bincount(u, minlength=n), src[up]
+
+
 def _count_triangles(g: Graph) -> int:
     """Exact triangle count; the kernel is chosen from the graph.
 
-    Vertices are ranked by (degree, id) and each edge is oriented toward the
-    higher rank.  With m forward edges, d+ the forward degrees and
-    words = ceil(n/64), the rule prices the bitset kernel at m * words
-    word-ANDs, as _WEDGE_COST was calibrated (its ranked ANDs do fewer), and
-    the wedge kernel at W = sum C(d+, 2) wedges.  The wedge kernel runs when
-    _WEDGE_COST * W < m * words, or when the bitset would need more than
-    _BITSET_MAX_BYTES, so no input allocates O(n^2) memory.  The choice is
-    logged at DEBUG on the "triprofile.census" logger.
+    The rule prices the bitset kernel at its word-ANDs, sum(ceil(n/64) -
+    (rank[v] >> 6)), and the wedge kernel at W = sum C(fdeg, 2) wedges.  The
+    wedges run when _WEDGE_COST * W < the word-ANDs, or when the bitset
+    would pass _BITSET_MAX_BYTES, so no input allocates O(n^2) memory.  The
+    choice is logged at DEBUG on the "triprofile.census" logger.
     """
     n = g.n
-    u, v = _forward_edges(g)
-    fdeg = np.bincount(u, minlength=n)
+    rank, u, v, fdeg, keys = _kernel_inputs(g)
     wedges = int((fdeg * (fdeg - 1) // 2).sum())
-    words = (n + 63) >> 6
-    bitset_words = u.size * words
-    use_wedges = (_WEDGE_COST * wedges < bitset_words
-                  or n * words * 8 > _BITSET_MAX_BYTES)
-    log.debug("triangle count: n=%d m=%d wedges=%d bitset_words=%d kernel=%s",
-              n, u.size, wedges, bitset_words, "wedges" if use_wedges else "bitset")
-    kernel = _triangles_wedges if use_wedges else _triangles_bitset
-    return kernel(g, u, v)
+    # the word-ANDs summed by v: deg - fdeg forward edges end at a vertex
+    ands = int(((g.degrees - fdeg) * (((n + 63) >> 6) - (rank >> 6))).sum())
+    use_wedges = _WEDGE_COST * wedges < ands or not _bitset_fits(n)
+    log.debug("triangle count: n=%d m=%d wedges=%d word_ands=%d kernel=%s",
+              n, u.size, wedges, ands, "wedges" if use_wedges else "bitset")
+    if use_wedges:
+        return _triangles_wedges(u, v, fdeg, keys)
+    return _triangles_bitset(rank, u, v)
 
 
 def census_fast(g: Graph) -> TripleCensus:

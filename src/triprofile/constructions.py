@@ -218,9 +218,9 @@ class _Blowup:
 
         The path is "structure" for 0/1 densities below 2^63 vertices (see
         _structure_counts), "bitset" for sampled densities while the bitset
-        of n * ceil(n/64) words fits in census._BITSET_MAX_BYTES, the cap
-        census_fast's own bitset kernel keeps (census._upper_census of
-        bitset(seed)), and otherwise "graph": census_fast(graph(seed)).
+        fits under the cap census_fast's own bitset kernel keeps
+        (census._bitset_fits; census._upper_census of bitset(seed)), and
+        otherwise "graph": census_fast(graph(seed)).
         Other than by the structure, a blow-up above the vertex limit raises
         DomainError before anything is allocated.
         """
@@ -228,7 +228,7 @@ class _Blowup:
         if self.deterministic and n < 1 << 63:
             return "structure", census._census(n, *self._structure_counts())
         census._check_vertex_count(n)
-        if n * ((n + 63) >> 6) * 8 <= census._BITSET_MAX_BYTES:
+        if census._bitset_fits(n):
             return "bitset", census._upper_census(self.bitset(seed))
         return "graph", census_fast(self.graph(seed))
 

@@ -17,7 +17,7 @@ from triprofile import (DomainError, Graph, InputFormatError, StepGraphon,
                         write_step_graphon)
 from triprofile import census
 from triprofile.cli import main
-from triprofile.census import (_common_bits, _forward_edges, _triangles_bitset,
+from triprofile.census import (_common_bits, _kernel_inputs, _triangles_bitset,
                                _triangles_tiles, _triangles_wedges)
 from triprofile.constructions import FamilySpec, realize
 from triprofile.verify import random_step_graphon
@@ -135,6 +135,15 @@ class TestGraph:
         gc = g.complement()
         assert gc.m == math.comb(5, 2) - 5
         assert gc.complement() == g
+        # the same CSR as the graph of the non-edges, listed pair by pair
+        rng = np.random.default_rng(47)
+        assert Graph.empty(0).complement() == Graph.empty(0)
+        for n, p in [(1, 0.5), (2, 1.0), (9, 0.0), (9, 1.0), (70, 0.4)]:
+            h = gnp(rng, n, p)
+            edges = set(h.edges())
+            want = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                        if (i, j) not in edges])
+            assert h.complement() == want
 
 
 class TestCensus:
@@ -184,7 +193,10 @@ KERNELS = pytest.mark.parametrize("kernel", [_triangles_bitset, _triangles_wedge
 
 
 def kernel_triangles(kernel, g):
-    return kernel(g, *_forward_edges(g))
+    rank, u, v, fdeg, keys = _kernel_inputs(g)
+    if kernel is _triangles_bitset:
+        return kernel(rank, u, v)
+    return kernel(u, v, fdeg, keys)
 
 
 def joined_k2t(t):
@@ -275,10 +287,11 @@ class TestTriangleKernels:
         edges += [(h, k) for h in range(128, 168) for k in range(h + 1, 168)
                   if rng.random() < 0.5]
         g = Graph.from_edges(168, edges)
-        u, v = _forward_edges(g)
-        assert set((census._rank(g)[v] >> 6).tolist()) == {2}
+        rank, _, v, _, _ = _kernel_inputs(g)
+        assert set((rank[v] >> 6).tolist()) == {2}
         want = census_brute(g).c3
-        assert _triangles_bitset(g, u, v) == _triangles_wedges(g, u, v) == want > 0
+        assert (kernel_triangles(_triangles_bitset, g)
+                == kernel_triangles(_triangles_wedges, g) == want > 0)
 
     @pytest.mark.parametrize("n,m", [(2000, 10000), (300, 10000)])
     def test_census_files_shapes(self, n, m):
@@ -298,7 +311,7 @@ class TestTriangleKernels:
         chosen = []
         for kernel in (_triangles_bitset, _triangles_wedges):
             monkeypatch.setattr(census, kernel.__name__,
-                                lambda g, u, v, k=kernel: chosen.append(k) or k(g, u, v))
+                                lambda *args, k=kernel: chosen.append(k) or k(*args))
         # a long cycle has one wedge; a clique has C(n, 3)
         assert census_fast(cycle(1000)).c3 == 0
         assert census_fast(Graph.complete(100)).c3 == math.comb(100, 3)
@@ -309,12 +322,30 @@ class TestTriangleKernels:
         assert chosen[-1] is _triangles_wedges
 
     def test_choice_logged(self, caplog):
+        # a cycle's ranks are its ids: 16 words a row, and the forward edges
+        # (i, i+1) and (0, 999) AND from word (i+1) >> 6 and 999 >> 6 on,
+        # 16 * 1000 - 7320 - 15 word-ANDs
         with caplog.at_level(logging.DEBUG, logger="triprofile.census"):
             census_fast(cycle(1000))
         (rec,) = [r for r in caplog.records if r.name == "triprofile.census"]
         assert rec.levelno == logging.DEBUG
         assert rec.getMessage() == ("triangle count: n=1000 m=1000 wedges=1 "
-                                    "bitset_words=16000 kernel=wedges")
+                                    "word_ands=8665 kernel=wedges")
+
+    @pytest.mark.parametrize("g,kernel", [(cycle(1000), "wedges"),
+                                          (Graph.complete(100), "bitset")])
+    def test_graph_read_once(self, monkeypatch, caplog, g, kernel):
+        # one rank and one edge list a census, on either side of the rule
+        calls = []
+        rank, directed = census._rank, Graph.directed_edges
+        monkeypatch.setattr(census, "_rank", lambda h: calls.append("rank") or rank(h))
+        monkeypatch.setattr(Graph, "directed_edges",
+                            lambda h: calls.append("edges") or directed(h))
+        with caplog.at_level(logging.DEBUG, logger="triprofile.census"):
+            c = census_fast(g)
+        assert c == census_brute(g)
+        assert caplog.records[-1].getMessage().endswith(f"kernel={kernel}")
+        assert sorted(calls) == ["edges", "rank"]
 
     def test_sparse_memory_linear_in_m(self):
         # 10000 disjoint K4s (4 triangles each) plus a circulant on 20000
@@ -345,7 +376,7 @@ class TestTriangleKernels:
         # buffers sized by m rather than by the bitset peaked near 75 MB.
         chosen = []
         monkeypatch.setattr(census, "_triangles_bitset",
-                            lambda g, u, v: chosen.append(1) or _triangles_bitset(g, u, v))
+                            lambda *args: chosen.append(1) or _triangles_bitset(*args))
         n, r = 5000, 40
         i = np.arange(n)
         g = Graph.from_edges(n, np.concatenate(
@@ -459,9 +490,9 @@ class TestTileKernel:
     def test_tile_sums_exact_up_to_the_bitset_cap(self):
         # every masked row sum is at most _TILE * n, exact in float32 below 2^24
         n = math.isqrt(census._BITSET_MAX_BYTES // 8 * 64)
-        while n * ((n + 63) >> 6) * 8 > census._BITSET_MAX_BYTES:
+        while not census._bitset_fits(n):
             n -= 1
-        assert (n + 1) * ((n + 64) >> 6) * 8 > census._BITSET_MAX_BYTES
+        assert not census._bitset_fits(n + 1)
         assert census._TILE * n < 1 << 24
 
 
