@@ -9,11 +9,14 @@ as the limit of sampling three independent points.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
 import math
+import os
 import re
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -55,6 +58,11 @@ _GATHER_WORDS = 1 << 16
 # _TILE * n < 2^24, exact in float32, within the bitset cap (n <= 46 336);
 # the kernel refuses larger n.
 _TILE = 256
+# Columns of a tile product, and of its right operand, made at once: with
+# two bands in flight, each holds its unpacked band and 2 * 256 * 512
+# floats (1 MB) beside it.  A seeded g2 bitset at n = 2000 took 22 ms on
+# two threads at 512 columns, 23.5 ms at 256 and 27 ms at whole width.
+_TILE_COLS = 512
 # Bytes of an edge-list body the fast parser checks at once: its masks and
 # token positions are O(chunk), beside the endpoint array itself.  At 256 KB
 # they stay in cache; 8 MB chunks parsed a 41 MB file 40% slower.
@@ -399,12 +407,18 @@ def _triangles_tiles(rows: np.ndarray) -> tuple:
     masked by U[I,J:] and summed per row, each row sum exact (see _TILE),
     then added in float64.  Only blocks that can hold a triangle are
     multiplied: a pair whose block U[I,J] has no set bit, or whose band J
-    is empty, is skipped, read from the bitset words; each band is unpacked and multiplied only up to
-    its last set column, its extent; and the diagonal block U[I,I], empty
-    on and below its diagonal, is multiplied in sub-bands of 64 rows, each
-    from its own diagonal on.  A dense bitset takes about n^3/6 + _TILE n^2/4
-    multiply-adds in BLAS (1.23 n^3/6 at n = 2000), clear blocks fewer; the
-    bands are unpacked on the fly, O(_TILE * n) memory beside the bitset.
+    is empty, is skipped, read from the bitset words; each band is unpacked
+    and multiplied only up to its last set column, its extent; and the
+    diagonal block U[I,I], empty on and below its diagonal, is multiplied in
+    sub-bands of 64 rows, each from its own diagonal on.  A dense bitset
+    takes about n^3/6 + _TILE n^2/4 multiply-adds in BLAS (1.23 n^3/6 at
+    n = 2000), clear blocks fewer.
+
+    Each band I, with all its pairs J >= I, is one task of _tile_band, and
+    _run_bands runs the tasks on _worker_count() threads, one a CPU, band
+    0, the heaviest, first; numpy's unpacking, products and sums release
+    the GIL.  The tasks share nothing they write, and their results are added
+    in band order, so every count is the same on any number of threads.
     Raises DomainError from n = 2^24 / _TILE on, where a row sum could
     pass 2^24.
     """
@@ -423,41 +437,141 @@ def _triangles_tiles(rows: np.ndarray) -> tuple:
     for word in occ:
         nz = np.flatnonzero(word)
         ends.append(64 * int(nz[-1]) + int(word[nz[-1]]).bit_length() if nz.size else 0)
+    bands = [I for I, i in enumerate(starts.tolist()) if ends[I] > i]
+    task = functools.partial(_tile_band, rows, ends, filled)
     t = done = madds = 0
-
-    def product(left, right, mask):
-        # the operands and product are freed on return, so at most one
-        # band beside a is unpacked at a time
-        nonlocal t, madds
-        t += int(np.einsum("ij,ij->i", mask, left @ right).sum(dtype=np.float64))
-        madds += left.size * right.shape[1]
-
-    for I, i in enumerate(starts.tolist()):
-        e = ends[I]
-        if e <= i:
-            continue
-        a = _unpack(rows[i:i + _TILE], i, e)
-        cols[i:e] += a.sum(axis=0).astype(np.int64)
-        # row r of U[I,I] is clear up to column r, so sub-band s takes the
-        # product of its block's columns s.. with the rows s.. of a
-        h = min(_TILE, e - i)
-        for s in range(0, h, 64):
-            product(a[s:s + 64, s:h], a[s:h, s:], a[s:s + 64, s:])
-        done += 1
-        for J in range(I + 1, len(starts)):
-            j = J * _TILE
-            if j >= e:
-                break
-            # columns past either band's extent are clear in the mask or in
-            # the right band
-            k = min(e, ends[J])
-            if k <= j or not filled[I, J]:
-                continue
-            w = min(_TILE, e - j)
-            product(a[:, j - i:j - i + w], _unpack(rows[j:j + w], j, k), a[:, j - i:k - i])
-            done += 1
+    for I, (bt, bdone, bmadds, sums) in _run_bands(task, bands):
+        t += bt
+        done += bdone
+        madds += bmadds
+        cols[I * _TILE:ends[I]] += sums
     nb = len(starts)
     return t, cols, (done, nb * (nb + 1) // 2 - done, madds)
+
+
+def _run_bands(task, bands: list) -> list:
+    """[(I, task(I)) for I in bands], on up to _worker_count() threads.
+
+    The calling thread and the pool's threads each take the next band until
+    none is left, so the bands start in order, the heaviest first.  Each
+    thread keeps its own list of results; they are merged in band order.
+    With one worker, or one band, the calling thread runs them all and no
+    pool is made.
+    """
+    todo = iter(bands)
+
+    def drain():
+        return [(I, task(I)) for I in todo]
+
+    workers = min(_worker_count(), len(bands))
+    if workers < 2:
+        return drain()
+    helpers = [_band_pool(workers - 1).submit(drain) for _ in range(workers - 1)]
+    try:
+        out = drain()
+    finally:
+        # the helpers are done, and what they raised is raised, before this
+        # returns, whether or not the calling thread's bands failed
+        out_helpers = [r for f in helpers for r in f.result()]
+    return sorted(out + out_helpers, key=lambda r: r[0])
+
+
+def _tile_band(rows: np.ndarray, ends: list, filled: np.ndarray, I: int) -> tuple:
+    """(triangles, band pairs multiplied, multiply-adds, column counts) of
+    band I of _triangles_tiles and its pairs J >= I.
+
+    Band I is unpacked once, to its extent; each right operand and each
+    product is at most _TILE_COLS columns wide, so a band holds about
+    _TILE * (n + 2 * _TILE_COLS) floats at once, whatever n.
+    """
+    i = I * _TILE
+    e = ends[I]
+    a = _unpack(rows[i:i + _TILE], i, e)
+    sums = a.sum(axis=0).astype(np.int64)
+    t = madds = 0
+    # row r of U[I,I] is clear up to column r, so sub-band s takes the
+    # product of its block's columns s.. with the rows s.. of a
+    h = min(_TILE, e - i)
+    for s in range(0, h, 64):
+        left = a[s:s + 64, s:h]
+        for c in range(s, e - i, _TILE_COLS):
+            c1 = min(c + _TILE_COLS, e - i)
+            t += _masked_product(left, a[s:h, c:c1], a[s:s + 64, c:c1])
+        madds += left.size * (e - i - s)
+    done = 1
+    for J in range(I + 1, len(ends)):
+        j = J * _TILE
+        if j >= e:
+            break
+        # columns past either band's extent are clear in the mask or in the
+        # right band
+        k = min(e, ends[J])
+        if k <= j or not filled[I, J]:
+            continue
+        w = min(_TILE, e - j)
+        left = a[:, j - i:j - i + w]
+        for c in range(j, k, _TILE_COLS):
+            c1 = min(c + _TILE_COLS, k)
+            t += _masked_product(left, _unpack(rows[j:j + w], c, c1), a[:, c - i:c1 - i])
+        madds += left.size * (k - j)
+        done += 1
+    return t, done, madds, sums
+
+
+def _masked_product(left: np.ndarray, right: np.ndarray, mask: np.ndarray) -> int:
+    """sum(mask o (left @ right)): each row summed in float32, exactly (see
+    _TILE), and the rows in float64."""
+    return int(np.einsum("ij,ij->i", mask, left @ right).sum(dtype=np.float64))
+
+
+def _worker_count() -> int:
+    """Threads the tile kernel runs its bands on: the CPUs this process may
+    run on, or 1 while threads that Python did not start run beside it.
+
+    Those are a multithreaded BLAS's: unless told to use one thread,
+    OpenBLAS starts a thread for every CPU but one, and they spin between
+    products.  With two bands' products at once beside them, the kernel ran
+    1.1-1.3x slower than on one thread (see README).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return 1 if cpus > 1 and _foreign_threads() else cpus
+
+
+def _foreign_threads() -> int:
+    """Threads of this process that Python did not start; 0 if unknown."""
+    try:
+        with open("/proc/self/status", "rb") as f:
+            for line in f:
+                if line.startswith(b"Threads:"):
+                    return max(0, int(line.split()[1]) - threading.active_count())
+    except OSError:
+        pass
+    return 0
+
+
+# The tile kernel's pool, once made.  A forked child inherits the pool but
+# not its threads, and tasks sent there would wait forever, so the child
+# empties the list and makes its own.  The hook holds the list, not this
+# module, so a re-imported copy of the module is still freed.
+_pool = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _band_pool(workers: int):
+    """This process's thread pool for the tile kernel, made on first use
+    with the given number of threads, which it keeps.
+
+    concurrent.futures is imported only here, so a process that counts no
+    seeded blow-up never imports it or starts a thread.
+    """
+    if not _pool:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool.append(ThreadPoolExecutor(workers, thread_name_prefix="triprofile-tiles"))
+    return _pool[0]
 
 
 def _upper_census(rows: np.ndarray) -> TripleCensus:
@@ -479,7 +593,7 @@ def _upper_census(rows: np.ndarray) -> TripleCensus:
 def _triangles_wedges(u: np.ndarray, v: np.ndarray, fdeg: np.ndarray,
                       keys: np.ndarray) -> int:
     """Triangles by checking wedges, from _kernel_inputs' forward edges (u, v),
-    forward degrees fdeg and sorted undirected keys lo*n + hi, lo < hi.
+    forward degrees fdeg and sorted undirected keys (see _undirected_keys).
 
     For each forward edge (u, v) and each w after v in u's forward row, the
     wedge (v, w) closes a triangle exactly when v*n + w is a key; v < w,
@@ -549,22 +663,27 @@ def _bitset_fits(n: int) -> bool:
 
 
 def _kernel_inputs(g: Graph) -> tuple:
-    """(rank, u, v, fdeg, keys): all that a triangle count reads of g.
+    """(rank, u, v, fdeg, src, dst): all that a triangle count reads of g.
 
     rank[w] is the place of vertex w in (degree, id) order, and each edge is
     oriented toward the higher rank: (u, v) are the m forward edges in CSR
-    order, sorted by u, then by v; fdeg[w] is w's forward degree; keys are
-    the m undirected keys lo*n + hi, lo < hi, sorted.
+    order, sorted by u, then by v; fdeg[w] is w's forward degree; (src, dst)
+    are both orientations of every edge in CSR order, src a fresh array.
     """
-    n = g.n
     rank = _rank(g)
-    src, dst = g.directed_edges()       # the sources come in a fresh array
+    src, dst = g.directed_edges()
     fwd = np.flatnonzero(rank[dst] > rank[src])
-    up = np.flatnonzero(src < dst)
     u, v = src[fwd], dst[fwd]
+    return rank, u, v, np.bincount(u, minlength=g.n), src, dst
+
+
+def _undirected_keys(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The m undirected keys lo*n + hi, lo < hi, sorted, of _kernel_inputs'
+    directed edges (src, dst); src is overwritten."""
+    up = np.flatnonzero(src < dst)
     src *= n
     src += dst
-    return rank, u, v, np.bincount(u, minlength=n), src[up]
+    return src[up]
 
 
 def _count_triangles(g: Graph) -> int:
@@ -574,16 +693,21 @@ def _count_triangles(g: Graph) -> int:
     (rank[v] >> 6)), and the wedge kernel at W = sum C(fdeg, 2) wedges.  The
     wedges run when _WEDGE_COST * W < the word-ANDs, or when the bitset
     would pass _BITSET_MAX_BYTES, so no input allocates O(n^2) memory.  The
-    choice is logged at DEBUG on the "triprofile.census" logger.
+    choice is logged at DEBUG on the "triprofile.census" logger.  Only the
+    wedge kernel reads the undirected keys, so only its path builds them.
     """
     n = g.n
-    rank, u, v, fdeg, keys = _kernel_inputs(g)
+    rank, u, v, fdeg, src, dst = _kernel_inputs(g)
     wedges = int((fdeg * (fdeg - 1) // 2).sum())
     # the word-ANDs summed by v: deg - fdeg forward edges end at a vertex
     ands = int(((g.degrees - fdeg) * (((n + 63) >> 6) - (rank >> 6))).sum())
     use_wedges = _WEDGE_COST * wedges < ands or not _bitset_fits(n)
     log.debug("triangle count: n=%d m=%d wedges=%d word_ands=%d kernel=%s",
               n, u.size, wedges, ands, "wedges" if use_wedges else "bitset")
+    keys = _undirected_keys(n, src, dst) if use_wedges else None
+    # src, 2m words, is freed before either kernel runs: kept alive, it
+    # slowed census-files' dense bitset census by 2-4 ms
+    del src
     if use_wedges:
         return _triangles_wedges(u, v, fdeg, keys)
     return _triangles_bitset(rank, u, v)

@@ -18,6 +18,7 @@ import itertools
 import json
 import sys
 
+from . import __version__
 from . import boundary as bnd
 from . import constructions as cons
 from . import optimizer as opt
@@ -146,6 +147,7 @@ def cmd_construct(args) -> int:
         "limit": dataclasses.asdict(lim),
         "census": dataclasses.asdict(fin),
         "max_deviation": dev,
+        "version": __version__,
     }
     sidecar = args.out + ".summary.json"
     with open(sidecar, "w", encoding="utf-8", newline="\n") as f:

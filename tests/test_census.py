@@ -1,7 +1,15 @@
+import gc
 import hashlib
+import importlib.util
 import logging
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -193,10 +201,10 @@ KERNELS = pytest.mark.parametrize("kernel", [_triangles_bitset, _triangles_wedge
 
 
 def kernel_triangles(kernel, g):
-    rank, u, v, fdeg, keys = _kernel_inputs(g)
+    rank, u, v, fdeg, src, dst = _kernel_inputs(g)
     if kernel is _triangles_bitset:
         return kernel(rank, u, v)
-    return kernel(u, v, fdeg, keys)
+    return kernel(u, v, fdeg, census._undirected_keys(g.n, src, dst))
 
 
 def joined_k2t(t):
@@ -287,7 +295,7 @@ class TestTriangleKernels:
         edges += [(h, k) for h in range(128, 168) for k in range(h + 1, 168)
                   if rng.random() < 0.5]
         g = Graph.from_edges(168, edges)
-        rank, _, v, _, _ = _kernel_inputs(g)
+        rank, _, v, *_ = _kernel_inputs(g)
         assert set((rank[v] >> 6).tolist()) == {2}
         want = census_brute(g).c3
         assert (kernel_triangles(_triangles_bitset, g)
@@ -346,6 +354,17 @@ class TestTriangleKernels:
         assert c == census_brute(g)
         assert caplog.records[-1].getMessage().endswith(f"kernel={kernel}")
         assert sorted(calls) == ["edges", "rank"]
+
+    def test_keys_built_for_the_wedges_only(self, monkeypatch):
+        # the bitset kernel reads no undirected keys, so none are built for it
+        built = []
+        keys = census._undirected_keys
+        monkeypatch.setattr(census, "_undirected_keys",
+                            lambda *args: built.append(1) or keys(*args))
+        assert census_fast(Graph.complete(100)).c3 == math.comb(100, 3)
+        assert built == []
+        assert census_fast(cycle(1000)).c3 == 0
+        assert built == [1]
 
     def test_sparse_memory_linear_in_m(self):
         # 10000 disjoint K4s (4 triangles each) plus a circulant on 20000
@@ -409,14 +428,26 @@ def upper_bitset(rng, n, p):
     return block_bitset(rng, [n], [[p]])
 
 
+def tiles_both_ways(monkeypatch, rows):
+    """_triangles_tiles(rows) with its bands run inline and on two pool
+    threads, which must agree in every count."""
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(census, "_worker_count", lambda: workers)
+        t, cols, work = _triangles_tiles(rows)
+        out.append((t, cols.tolist(), work))
+    assert out[0] == out[1]
+    return out[0]
+
+
 class TestTileKernel:
     """The seeded blow-up census's tile kernel over upper-triangular
     bitsets, called directly, with rows around the 64-bit words and the
-    256-row bands."""
+    256-row bands, its bands run inline and on the thread pool."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 255, 256, 257, 513])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_equals_oracles(self, n, p):
+    def test_equals_oracles(self, monkeypatch, n, p):
         rows, U = upper_bitset(np.random.default_rng(n), n, p)
         u, v = np.nonzero(U)
         if p < 1:
@@ -425,9 +456,9 @@ class TestTileKernel:
             want = census_fast(g).c3 if n > 257 else census_brute(g).c3 if n >= 3 else 0
         else:
             want = math.comb(n, 3)
-        t, cols, _ = _triangles_tiles(rows)
+        t, cols, _ = tiles_both_ways(monkeypatch, rows)
         assert t == _common_bits(rows, u, v) == want
-        assert cols.tolist() == U.sum(axis=0).tolist()
+        assert cols == U.sum(axis=0).tolist()
 
     # (parts, densities, band pairs skipped): the bands are rows 0-255,
     # 256-511, ...; a pair is skipped when its left block is clear, when the
@@ -445,18 +476,18 @@ class TestTileKernel:
         # block (0, 1) clear between bands whose rows reach past it
         ([256, 256, 288], [[0.5, 0, 0.5], [0, 0.5, 0.5], [0.5, 0.5, 0.5]], 1),
     ])
-    def test_block_structured(self, parts, P, skipped):
+    def test_block_structured(self, monkeypatch, parts, P, skipped):
         rows, U = block_bitset(np.random.default_rng(sum(parts)), parts, P)
         n = U.shape[0]
         u, v = np.nonzero(U)
-        t, cols, (done, skips, _) = _triangles_tiles(rows)
+        t, cols, (done, skips, _) = tiles_both_ways(monkeypatch, rows)
         assert t == _common_bits(rows, u, v) == census_fast(
             Graph.from_edges(n, np.column_stack([u, v]))).c3
-        assert cols.tolist() == U.sum(axis=0).tolist()
+        assert cols == U.sum(axis=0).tolist()
         nb = -(-n // census._TILE)
         assert (done + skips, skips) == (nb * (nb + 1) // 2, skipped)
 
-    def test_work_logged(self, caplog):
+    def test_work_logged(self, monkeypatch, caplog):
         # the two components above: diagonal blocks of bands 0-2 in 64-row
         # sub-bands over extents 290, 600 and 600, and the pairs (0,1) over
         # 34 columns and (1,2) over 88, band 0 ending before band 2:
@@ -464,11 +495,159 @@ class TestTileKernel:
         rows, _ = block_bitset(np.random.default_rng(600), [290, 310],
                                [[0.5, 0], [0, 0.5]])
         caplog.set_level(logging.DEBUG, logger="triprofile.census")
-        census._upper_census(rows)
+        for workers in (1, 2):
+            monkeypatch.setattr(census, "_worker_count", lambda: workers)
+            census._upper_census(rows)
         assert [r.getMessage() for r in caplog.records
-                if r.name == "triprofile.census"] == [
+                if r.name == "triprofile.census"] == 2 * [
             "tile kernel: n=600 band_pairs=5 skipped=1 multiply_adds=23513600 "
             "(0.653 of n^3/6)"]
+
+    def test_bands_finish_in_any_order(self, monkeypatch):
+        # four bands on four threads, each band held until the one after it
+        # has finished, so band 0, taken first, finishes last
+        rows, _ = upper_bitset(np.random.default_rng(7), 1000, 0.5)
+        monkeypatch.setattr(census, "_worker_count", lambda: 1)
+        t, cols, work = _triangles_tiles(rows)
+        finished = []
+        passed = [threading.Event() for _ in range(5)]
+        passed[4].set()
+        band = census._tile_band
+
+        def held(rows, ends, filled, I):
+            out = band(rows, ends, filled, I)
+            assert passed[I + 1].wait(30)
+            finished.append(I)
+            passed[I].set()
+            return out
+
+        monkeypatch.setattr(census, "_tile_band", held)
+        monkeypatch.setattr(census, "_worker_count", lambda: 4)
+        monkeypatch.setattr(census, "_pool", [])
+        try:
+            t4, cols4, work4 = _triangles_tiles(rows)
+        finally:
+            for pool in census._pool:
+                pool.shutdown()
+        assert finished == [3, 2, 1, 0]
+        assert (t4, cols4.tolist(), work4) == (t, cols.tolist(), work)
+
+    def test_each_band_taken_once_under_contention(self, monkeypatch):
+        # more threads than cores and a short switch interval: a band run
+        # twice, or not at all, would change the count or the column sums
+        rows, _ = upper_bitset(np.random.default_rng(5), 2600, 0.2)
+        monkeypatch.setattr(census, "_worker_count", lambda: 1)
+        t, cols, work = _triangles_tiles(rows)
+        monkeypatch.setattr(census, "_worker_count", lambda: 8)
+        monkeypatch.setattr(census, "_pool", [])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                t8, cols8, work8 = _triangles_tiles(rows)
+                assert (t8, cols8.tolist(), work8) == (t, cols.tolist(), work)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in census._pool:
+                pool.shutdown()
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_failed_band_raised_after_the_rest(self, monkeypatch, failing):
+        # bands fail at once on one side, the calling thread or the pool's,
+        # and run slowly on the other; the error is raised once every band
+        # has stopped
+        rows, _ = upper_bitset(np.random.default_rng(7), 1000, 0.5)
+        caller = threading.get_ident()
+        running = set()
+        band = census._tile_band
+
+        def slow_or_failing(rows, ends, filled, I):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise MemoryError(f"band {I}")
+            running.add(I)
+            time.sleep(0.05)
+            running.discard(I)
+            return band(rows, ends, filled, I)
+
+        monkeypatch.setattr(census, "_tile_band", slow_or_failing)
+        monkeypatch.setattr(census, "_worker_count", lambda: 2)
+        with pytest.raises(MemoryError, match="band"):
+            _triangles_tiles(rows)
+        assert running == set()
+
+    def test_one_cpu_runs_inline(self, monkeypatch):
+        # no pool is made or used on one CPU, or for one band
+        def no_pool(workers):
+            raise AssertionError("a pool was asked for")
+
+        monkeypatch.setattr(census, "_band_pool", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert census._worker_count() == 1
+        rows, U = upper_bitset(np.random.default_rng(3), 700, 0.5)
+        assert _triangles_tiles(rows)[1].tolist() == U.sum(axis=0).tolist()
+        monkeypatch.setattr(census, "_worker_count", lambda: 2)
+        rows, U = upper_bitset(np.random.default_rng(3), 256, 0.5)
+        assert _triangles_tiles(rows)[1].tolist() == U.sum(axis=0).tolist()
+
+    def test_worker_count(self, monkeypatch):
+        # every CPU the process may use, unless threads Python did not
+        # start, a multithreaded BLAS's, already run beside it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(census, "_foreign_threads", lambda: 0)
+        assert census._worker_count() == 3
+        monkeypatch.setattr(census, "_foreign_threads", lambda: 2)
+        assert census._worker_count() == 1
+
+    def test_python_threads_are_not_foreign(self):
+        before = census._foreign_threads()
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert census._foreign_threads() == before
+        finally:
+            stop.set()
+            thread.join()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks; Linux only")
+    # Python 3.12 warns of any fork in a process that runs threads
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_pool_remade_after_fork(self, monkeypatch):
+        # a forked child inherits the pool's object but not its threads;
+        # sent there, its tasks would wait forever
+        monkeypatch.setattr(census, "_worker_count", lambda: 2)
+        rows, _ = upper_bitset(np.random.default_rng(11), 600, 0.5)
+        t = _triangles_tiles(rows)[0]
+        assert census._pool
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if _triangles_tiles(rows)[0] == t else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's tile census did not finish in 30 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_fresh_import_frees_the_old_module(self):
+        # the at-fork hook, or anything else process-wide, may not hold on
+        # to a copy of the module once it is dropped
+        spec = importlib.util.find_spec("triprofile.census")
+        copy = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(copy)
+        ref = weakref.ref(copy._band_pool)
+        del copy
+        gc.collect()
+        assert ref() is None
 
     def test_refuses_sums_float32_cannot_hold(self):
         # from 65 536 vertices a masked row sum could pass 2^24; an all-zero

@@ -59,6 +59,20 @@ class TestCensus:
         regions = [ln.split(":")[0] for ln in out.splitlines()[-4:]]
         assert regions == ["s03", "s12", "s13", "s23"]
 
+    def test_no_thread_started(self, c5_path):
+        # only the seeded blow-up census's tile kernel makes a thread pool; a
+        # census and a membership query import no concurrent.futures
+        src = os.path.dirname(os.path.dirname(triprofile.__file__))
+        code = ("import sys, threading\n"
+                "from triprofile.cli import main\n"
+                f"assert main(['census', {c5_path!r}]) == 0\n"
+                "assert main(['member', '--region', 's13', '--x', '0.4', '--y', '0.01']) == 0\n"
+                "assert 'concurrent.futures' not in sys.modules\n"
+                "assert threading.active_count() == 1\n")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              timeout=60, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_graphon_two_block(self, capsys, two_block_path):
         code, out, _ = run(capsys, "census", two_block_path, "--graphon")
         assert code == 0
@@ -256,6 +270,7 @@ class TestConstruct:
         assert code == 0
         summary = json.loads((tmp_path / "g.edges.summary.json").read_text())
         assert summary["max_deviation"] <= 0.01
+        assert summary["version"] == triprofile.__version__
         first = out.read_text().splitlines()[0]
         assert first == "n 999"
 
