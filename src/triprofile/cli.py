@@ -191,7 +191,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    res = opt.maximize_grid(args.alpha, grid=args.grid, refine_tol=args.refine_tol)
+    res = opt.maximize_grid(args.alpha, grid=args.grid)
     out = sys.stdout
     out.write(f"alpha: {_fmt(args.alpha)}\n")
     out.write(f"analytic_value: {_fmt(res.analytic_value)}\n")
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="grid-verify the clique-structure maximum")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--grid", type=int, default=400)
-    p.add_argument("--refine-tol", type=float, default=1e-10)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", default="all",

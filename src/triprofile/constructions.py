@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -123,7 +124,13 @@ def _sampled_edges(blocks: np.ndarray, P: np.ndarray, rng, n: int) -> np.ndarray
     return np.concatenate(edges)
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer (got {value!r})")
+
+
 def _check_seed(seed) -> None:
+    _check_integer("seed", seed)
     if seed < 0:
         raise DomainError(f"seed must be nonnegative (got {seed!r})")
 
@@ -146,11 +153,12 @@ def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     Uses numpy's default generator (PCG64) seeded with ``seed``: first n
     uniforms assign vertices to blocks by the cumulative size distribution,
     then one uniform per unordered pair (row-major order) decides each edge.
-    The output is deterministic given (w, n, seed).  A negative seed, n
-    above the vertex limit, or an expected d_e * C(n,2) edges beyond the
-    draw budget (see _check_draw_size) raises DomainError before anything
-    is drawn.
+    The output is deterministic given (w, n, seed).  A non-integer or
+    negative n or seed, n above the vertex limit, or an expected
+    d_e * C(n,2) edges beyond the draw budget (see _check_draw_size) raises
+    DomainError before anything is drawn.
     """
+    _check_integer("n", n)
     if n < 1:
         raise DomainError("sample size must be at least 1")
     census._check_vertex_count(n)
@@ -597,6 +605,8 @@ class FamilySpec:
             value = _check_range(name, self.params[key], lo, hi, hi_open=hi_open)
             if key in fam.flags and value not in (0.0, 1.0):
                 raise DomainError(f"{name} must be 0 or 1 (got {value!r})")
+        if self.n is not None:
+            _check_integer("n", self.n)
         if self.seed is not None:
             _check_seed(self.seed)
 

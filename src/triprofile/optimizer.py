@@ -14,7 +14,7 @@ maximum has the closed form
 attained at x = (sigma, sigma, 1-2 sigma) with sigma = (5-(a-1)^2)/12.  This
 module evaluates the objective, enumerates all closed-form stationary
 candidates of the case analysis, and independently verifies the maximum with
-a simplex grid search plus local refinement.
+a simplex grid scan refined on ever finer lattices of the simplex.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boundary
 from .errors import DomainError
 
 log = logging.getLogger(__name__)
@@ -55,8 +54,6 @@ _GRID_BYTES_PER_POINT = 33
 # A grid that would need more is refused before anything is allocated: half
 # the memory of an 8 GB machine, so grids up to 22815 are scanned.
 _GRID_MAX_BYTES = 1 << 32
-# Polish sweeps before refinement is declared not to converge.
-_POLISH_SWEEPS = 10000
 
 
 def validate_alpha(alpha: float) -> float:
@@ -77,6 +74,8 @@ class FeasiblePoint:
     def __post_init__(self):
         if len(self.x) != 3 or len(self.y) != 3:
             raise DomainError("feasible points have three x and three y coordinates")
+        if not all(math.isfinite(v) for v in (*self.x, *self.y)):
+            raise DomainError(f"coordinates must be finite (got x={self.x!r}, y={self.y!r})")
         if min(self.x) < -_SUM_TOL:
             raise DomainError("x coordinates must be nonnegative")
         if abs(sum(self.x) - 1.0) > _SUM_TOL:
@@ -130,14 +129,13 @@ def _cubic_coefficient(y, a: float):
     return 3.0 - a - 3.0 * (3.0 - a) * y - 3.0 * (a - 1.0) * y ** 2
 
 
-def _y_rule(x: float, a: float) -> tuple:
-    """stationary_y's branches at one float, (y, whether y is interior);
-    a line search's round-off negatives take y = 1."""
+def _y_rule(x: float, a: float) -> float:
+    """stationary_y's branches at one float; negatives take y = 1."""
     if x <= 1.0 / (a + 1.0):
-        return 1.0, False
+        return 1.0
     if x >= 0.5:
-        return 0.5, False
-    return (1.0 / x - (3.0 - a)) / (2.0 * (a - 1.0)), True
+        return 0.5
+    return (1.0 / x - (3.0 - a)) / (2.0 * (a - 1.0))
 
 
 def stationary_y(x_j: float, alpha: float) -> float:
@@ -148,13 +146,13 @@ def stationary_y(x_j: float, alpha: float) -> float:
     """
     if x_j < 0:
         raise DomainError("x_j must be nonnegative")
-    return _y_rule(x_j, float(alpha))[0]
+    return _y_rule(x_j, float(alpha))
 
 
 def _term(x: float, a: float) -> float:
     """F's per-coordinate term at one float, with y eliminated by
-    stationary_y's rule: the only such evaluator, for scan and polish."""
-    y = _y_rule(x, a)[0]
+    stationary_y's rule: the only such evaluator, for scan and refinement."""
+    y = _y_rule(x, a)
     return x ** 3 * _cubic_coefficient(y, a) + 3.0 * x ** 2 * y
 
 
@@ -317,91 +315,30 @@ def stationarity_residual(point: FeasiblePoint, alpha: float) -> float:
     return residual
 
 
-# simplex-tangent search directions: mass moves between a pair, and the
-# symmetric split of one coordinate into the other two (the latter escapes
-# pairwise-stationary saddle points, which matter when two stationary
-# configurations nearly merge at the ends of the alpha interval)
-_MOVES = (
-    (1.0, 0.0, -1.0), (0.0, 1.0, -1.0), (1.0, -1.0, 0.0),
-    (0.5, 0.5, -1.0), (0.5, -1.0, 0.5), (-1.0, 0.5, 0.5),
-)
+def _refine(x, a: float, h: float) -> tuple:
+    """Climb from x on the lattices (x1 + i h, x2 + j h, x3 - (i+j) h),
+    |i|, |j| <= 4, of points with every coordinate in [0, 1/2]: move to the
+    lattice's best point, quarter h, and stop once h is below 1e-10.  A
+    lattice point's value adds one _term of each of three lists, of 9, 9
+    and 17 values, so a level costs 35 _term calls.  Returns (x, value)."""
+    offsets = range(-4, 5)
+    while h >= 1e-10:
+        c1 = [x[0] + i * h for i in offsets]
+        c2 = [x[1] + j * h for j in offsets]
+        c3 = [x[2] - s * h for s in range(-8, 9)]
+        t1, t2, t3 = ([_term(v, a) for v in c] for c in (c1, c2, c3))
+        best = -math.inf
+        for i, (u, tu) in enumerate(zip(c1, t1)):
+            for j, (v, tv) in enumerate(zip(c2, t2)):
+                w = c3[i + j]
+                score = tu + tv + t3[i + j]
+                if score > best and 0.0 <= min(u, v, w) and max(u, v, w) <= 0.5:
+                    best, x = score, (u, v, w)
+        h /= 4.0
+    return x, best
 
 
-def _term_slopes(x: float, a: float) -> tuple:
-    """First and second derivatives of _term at one Python float.
-
-    With c(y) = 3 - a - 3(3-a) y - 3(a-1) y^2 the term is x^3 c(y) + 3 x^2 y.
-    On the pinned branches y is constant; on the interior one the term's
-    y-derivative is 0, so (envelope theorem) the first derivative is
-    3x^2 c(y) + 6xy on every branch.  The second is 6x c(y) + 6y, plus, on
-    the interior branch, 3/(2(a-1)x) from y moving with x.  The first
-    derivative is continuous at both junctions, the second jumps there.
-    """
-    y, interior = _y_rule(x, a)
-    moving = 1.5 / ((a - 1.0) * x) if interior else 0.0
-    c = _cubic_coefficient(y, a)
-    return 3.0 * x * x * c + 6.0 * x * y, 6.0 * x * c + 6.0 * y + moving
-
-
-def _polish(x, a: float, refine_tol: float, bracket: float):
-    """Newton line searches along simplex-tangent directions.
-
-    Each move finds a local maximum of g(t) = F(x + t*w) over the segment
-    keeping every coordinate inside [0, 1/2] and |t| <= bracket, by
-    boundary._solve on -g'(t) from t = 0: the safeguarded Newton solver
-    keeps a bracket on the sign change of g', so it ends where g' is zero
-    to round-off or at an end of the segment.  A move is taken only when
-    it improves the value.  Stops when a full sweep improves the value by
-    less than refine_tol; errors out at the iteration cap.  Works on Python
-    floats: three scalar terms per value, three slopes per line-search
-    step.  Returns (x as a tuple, value).
-    """
-    x = tuple(float(v) for v in x)
-
-    def val(p):
-        return _term(p[0], a) + _term(p[1], a) + _term(p[2], a)
-
-    best = val(x)
-    for sweep in range(_POLISH_SWEEPS):
-        for w in _MOVES:
-            lo, hi = -bracket, bracket
-            for xk, wk in zip(x, w):
-                if wk > 0:
-                    hi = min(hi, (0.5 - xk) / wk)
-                    lo = max(lo, -xk / wk)
-                elif wk < 0:
-                    hi = min(hi, xk / -wk)
-                    lo = max(lo, (xk - 0.5) / -wk)
-            if hi <= lo:
-                continue
-            x0, x1, x2 = x
-            w0, w1, w2 = w
-            rate = 0.0
-
-            def descent(t):
-                # -g'(t); its slope -g''(t) is kept for _solve's slope
-                # call, which always follows at the same t
-                nonlocal rate
-                d0, s0 = _term_slopes(x0 + t * w0, a)
-                d1, s1 = _term_slopes(x1 + t * w1, a)
-                d2, s2 = _term_slopes(x2 + t * w2, a)
-                rate = -(w0 * w0 * s0 + w1 * w1 * s1 + w2 * w2 * s2)
-                return -(w0 * d0 + w1 * d1 + w2 * d2)
-
-            t = boundary._solve(descent, lambda t: rate, lo, hi, 0.0, start=0.0)
-            trial = tuple(min(max(xk + t * wk, 0.0), 0.5)
-                          for xk, wk in zip(x, w))
-            v = val(trial)
-            if v > best:
-                x, best = trial, v
-        if sweep > 0 and best - last <= refine_tol:
-            return x, best
-        last = best
-    raise RuntimeError(f"refinement did not converge within {_POLISH_SWEEPS} iterations")
-
-
-def maximize_grid(alpha: float, grid: int = 400,
-                  refine_tol: float = 1e-10) -> OptimizationResult:
+def maximize_grid(alpha: float, grid: int = 400) -> OptimizationResult:
     """Independent grid-plus-refinement maximization of F.
 
     y is eliminated per coordinate by stationary_y (exact inner maximization,
@@ -410,20 +347,19 @@ def maximize_grid(alpha: float, grid: int = 400,
     once at each k/grid and scores a point (i, j, k = grid-i-j)/grid by
     adding three of those.  It scans only the points with every coordinate
     at most 1/2 (the closure of the strictly feasible set, on which the same
-    maximum is attained): i, j and k at most grid//2.  The best of them are
-    refined by Newton line searches along simplex-tangent directions (see
-    _polish).  Ties among permuted maximizers are resolved by sorting x
-    ascending.  A grid that is not an integer of at least 50 or whose scan
-    would need more than _GRID_MAX_BYTES, or a negative or NaN refine_tol,
-    raises DomainError before the scan.
+    maximum is attained): i, j and k at most grid//2.  Each of the 12 best
+    scan points moves to the best scan point within 4 grid steps of it, and
+    each distinct point reached is refined on finer lattices from h =
+    1/(4 grid) (see _refine).  Ties among permuted maximizers are resolved
+    by sorting x ascending.  A grid that is not an integer of at least 50
+    or whose scan would need more than _GRID_MAX_BYTES raises DomainError
+    before the scan.
     """
     a = validate_alpha(alpha)
     if not isinstance(grid, numbers.Integral):
         raise DomainError(f"grid must be an integer (got {grid!r})")
     if grid < 50:
         raise DomainError("grid must be at least 50")
-    if not refine_tol >= 0.0:
-        raise DomainError(f"refine_tol must be a nonnegative number (got {refine_tol!r})")
     half = grid // 2
     need = (half + 1) ** 2 * _GRID_BYTES_PER_POINT
     if need > _GRID_MAX_BYTES:
@@ -435,18 +371,22 @@ def maximize_grid(alpha: float, grid: int = 400,
     k = grid - idx - idx.T
     vals = terms[idx] + terms[idx.T] + terms[k]
     vals[k > half] = -np.inf
-    bracket = max(2.0 / grid, 1e-3)
-    # polish the leading grid points; several starts guard against permuted
-    # ties of near-degenerate stationary configurations
-    polished = []
+    # several starts guard against permuted ties of near-degenerate
+    # stationary configurations; the move to the best nearby scan point
+    # merges the starts of one configuration before the refinement
+    starts = {}
     for b in np.argsort(-vals, axis=None)[:12]:
         i, j = divmod(int(b), half + 1)
-        polished.append(_polish((i / grid, j / grid, (grid - i - j) / grid),
-                                a, refine_tol, bracket))
-    champion = max(v for _, v in polished)
+        i0, j0 = max(i - 4, 0), max(j - 4, 0)
+        near = vals[i0:i + 5, j0:j + 5]
+        di, dj = np.unravel_index(np.argmax(near), near.shape)
+        starts[i0 + int(di), j0 + int(dj)] = None
+    refined = [_refine((i / grid, j / grid, (grid - i - j) / grid), a, 0.25 / grid)
+               for i, j in starts]
+    champion = max(v for _, v in refined)
     # among ties prefer the maximizer farthest from the x_j = 1/2
     # face (the strictly feasible one), then sort for determinism
-    x, value = min((p for p in polished if p[1] >= champion - 1e-12),
+    x, value = min((p for p in refined if p[1] >= champion - 1e-12),
                    key=lambda p: max(p[0]))
     xs = tuple(sorted(x))
     ys = tuple(stationary_y(v, a) for v in xs)

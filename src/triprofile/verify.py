@@ -400,7 +400,7 @@ def finite_convergence(cases, sizes, bounds: dict) -> CheckResult:
 def grid_oracle(alphas, grid: int):
     gap = 0.0
     for a in alphas:
-        res = optimizer.maximize_grid(a, grid=grid, refine_tol=1e-10)
+        res = optimizer.maximize_grid(a, grid=grid)
         gap = max(gap, abs(res.value - res.analytic_value))
     return gap <= 1e-6, f"max gap {gap:.2e}", {"gap": gap}
 

@@ -986,6 +986,21 @@ class TestSampling:
         with pytest.raises(DomainError, match=r"seed must be nonnegative \(got -3\)"):
             sample_w_random_graph(w, 10, -3)
 
+    @pytest.mark.parametrize("n,seed,text", [
+        (10.5, 1, r"n must be an integer \(got 10\.5\)"),
+        (10.0, 1, r"n must be an integer \(got 10\.0\)"),
+        (10, 1.5, r"seed must be an integer \(got 1\.5\)"),
+        (10, "1", r"seed must be an integer \(got '1'\)"),
+    ])
+    def test_refuses_non_integer_n_or_seed(self, n, seed, text):
+        with pytest.raises(DomainError, match=text):
+            sample_w_random_graph(StepGraphon([1.0], [[0.5]]), n, seed)
+
+    def test_numpy_integers_accepted(self):
+        w = StepGraphon([0.5, 0.5], [[0.9, 0.1], [0.1, 0.7]])
+        assert (sample_w_random_graph(w, np.int32(120), np.uint64(99))
+                == sample_w_random_graph(w, 120, 99))
+
     def test_refuses_too_many_edges_before_drawing(self):
         # d_e * C(50000, 2) = 6.25e8 edges at 84 bytes each is 52 GB
         w = StepGraphon([1.0], [[0.5]])

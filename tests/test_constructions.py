@@ -367,6 +367,21 @@ class TestRealize:
             with pytest.raises(DomainError, match=r"seed must be nonnegative \(got -1\)"):
                 call()
 
+    @pytest.mark.parametrize("n,seed,text", [
+        (100.5, 1, r"n must be an integer \(got 100\.5\)"),
+        (100, 1.5, r"seed must be an integer \(got 1\.5\)"),
+        (np.float64(100.0), None, r"n must be an integer \(got np\.float64\(100\.0\)\)"),
+    ])
+    def test_non_integer_n_or_seed_rejected(self, n, seed, text):
+        # refused by name in the spec; numpy raised TypeError deep in the draw
+        with pytest.raises(DomainError, match=text):
+            FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=n, seed=seed)
+
+    def test_numpy_integer_n_and_seed_accepted(self):
+        params = {"a": 0.3, "p": 0.6}
+        assert (realize(FamilySpec("g2", params, n=np.int64(100), seed=np.int32(1)))
+                == realize(FamilySpec("g2", params, n=100, seed=1)))
+
 
 def census_outcome(census, spec):
     """The census, or the text of the DomainError raised."""
