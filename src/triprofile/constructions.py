@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -124,13 +123,8 @@ def _sampled_edges(blocks: np.ndarray, P: np.ndarray, rng, n: int) -> np.ndarray
     return np.concatenate(edges)
 
 
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer (got {value!r})")
-
-
 def _check_seed(seed) -> None:
-    _check_integer("seed", seed)
+    census._check_integer("seed", seed)
     if seed < 0:
         raise DomainError(f"seed must be nonnegative (got {seed!r})")
 
@@ -158,10 +152,9 @@ def sample_w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     d_e * C(n,2) edges beyond the draw budget (see _check_draw_size) raises
     DomainError before anything is drawn.
     """
-    _check_integer("n", n)
+    census._check_vertex_count(n)
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    census._check_vertex_count(n)
     _check_seed(seed)
     _check_draw_size(n, float(w.sizes @ w.probs @ w.sizes) * math.comb(n, 2))
     rng = np.random.default_rng(seed)
@@ -542,7 +535,8 @@ def _blowup(w: StepGraphon, n: int) -> _Blowup:
 def blowup_graph(w: StepGraphon, n: int, seed: int = 0) -> Graph:
     """Finite realization: floor-sized parts (leftover vertices to the last
     part), pairs joined with their block density (deterministic when the
-    densities are all 0/1)."""
+    densities are all 0/1).  A non-integer n is refused by name."""
+    census._check_vertex_count(n)
     if n < 1:
         raise DomainError("need n >= 1")
     return _blowup(w, n).graph(seed)
@@ -606,7 +600,7 @@ class FamilySpec:
             if key in fam.flags and value not in (0.0, 1.0):
                 raise DomainError(f"{name} must be 0 or 1 (got {value!r})")
         if self.n is not None:
-            _check_integer("n", self.n)
+            census._check_integer("n", self.n)
         if self.seed is not None:
             _check_seed(self.seed)
 

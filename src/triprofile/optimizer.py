@@ -142,8 +142,11 @@ def stationary_y(x_j: float, alpha: float) -> float:
     """The y maximizing the j-th term of F at fixed x_j (F is concave in y).
 
     1 for x_j <= 1/(a+1), 1/2 for x_j >= 1/2, else the interior critical
-    point (1/x_j - (3-a)) / (2(a-1)); continuous at both junctions.
+    point (1/x_j - (3-a)) / (2(a-1)); continuous at both junctions.  A
+    negative or non-finite x_j raises DomainError.
     """
+    if not math.isfinite(x_j):
+        raise DomainError(f"x_j must be finite (got {x_j!r})")
     if x_j < 0:
         raise DomainError("x_j must be nonnegative")
     return _y_rule(x_j, float(alpha))

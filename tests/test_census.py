@@ -4,6 +4,7 @@ import importlib.util
 import logging
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -133,6 +134,14 @@ class TestGraph:
     def test_rejects_too_many_vertices(self):
         with pytest.raises(DomainError, match="vertex count 67108865 too large"):
             Graph.from_edges(census._MAX_VERTICES + 1, [])
+
+    @pytest.mark.parametrize("build", [lambda n: Graph.from_edges(n, [(0, 1)]), Graph.complete],
+                             ids=["from_edges", "complete"])
+    def test_non_integer_vertex_count_named(self, build):
+        for n, text in ((10.5, "10.5"), (5.0, "5.0"), (np.float64(4.0), "np.float64(4.0)")):
+            with pytest.raises(DomainError, match=re.escape(f"n must be an integer (got {text})")):
+                build(n)
+        assert build(np.int32(4)) == build(4)
 
     def test_complete_checks_vertex_count_first(self):
         with pytest.raises(DomainError, match="vertex count 1099511627776 too large"):
@@ -523,11 +532,11 @@ class TestTileKernel:
 
         monkeypatch.setattr(census, "_tile_band", held)
         monkeypatch.setattr(census, "_worker_count", lambda: 4)
-        monkeypatch.setattr(census, "_pool", [])
+        monkeypatch.setattr(census, "_pool", {})
         try:
             t4, cols4, work4 = _triangles_tiles(rows)
         finally:
-            for pool in census._pool:
+            for pool in census._pool.values():
                 pool.shutdown()
         assert finished == [3, 2, 1, 0]
         assert (t4, cols4.tolist(), work4) == (t, cols.tolist(), work)
@@ -539,7 +548,7 @@ class TestTileKernel:
         monkeypatch.setattr(census, "_worker_count", lambda: 1)
         t, cols, work = _triangles_tiles(rows)
         monkeypatch.setattr(census, "_worker_count", lambda: 8)
-        monkeypatch.setattr(census, "_pool", [])
+        monkeypatch.setattr(census, "_pool", {})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -548,7 +557,7 @@ class TestTileKernel:
                 assert (t8, cols8.tolist(), work8) == (t, cols.tolist(), work)
         finally:
             sys.setswitchinterval(interval)
-            for pool in census._pool:
+            for pool in census._pool.values():
                 pool.shutdown()
 
     @pytest.mark.parametrize("failing", ["caller", "pool"])
@@ -639,15 +648,19 @@ class TestTileKernel:
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_fresh_import_frees_the_old_module(self):
-        # the at-fork hook, or anything else process-wide, may not hold on
-        # to a copy of the module once it is dropped
+        # nothing process-wide may hold on to a copy of the module, or to its
+        # pool, once it is dropped: a re-import would leak the pool's threads
         spec = importlib.util.find_spec("triprofile.census")
         copy = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(copy)
         ref = weakref.ref(copy._band_pool)
+        thread = copy._band_pool(1).submit(threading.current_thread).result()
+        assert thread is not threading.current_thread()
         del copy
         gc.collect()
         assert ref() is None
+        thread.join(30)
+        assert not thread.is_alive()
 
     def test_refuses_sums_float32_cannot_hold(self):
         # from 65 536 vertices a masked row sum could pass 2^24; an all-zero
@@ -1293,21 +1306,77 @@ class TestParsePaths:
             assert read_edge_list(edge_path) == Graph.from_edges(n, edges), name
 
     @settings(max_examples=400, deadline=None)
-    @given(mutated_edge_files(), st.sampled_from([census._EDGE_CHUNK, 1, 9]))
-    def test_fuzz_agrees_with_line_loop(self, edge_path, data, chunk):
+    @given(mutated_edge_files(), st.sampled_from([census._EDGE_CHUNK, 1, 9]),
+           st.sampled_from([1, 2]))
+    def test_fuzz_agrees_with_line_loop(self, edge_path, data, chunk, workers):
         edge_path.write_bytes(data)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(census, "_EDGE_CHUNK", chunk)
+            mp.setattr(census, "_worker_count", lambda: workers)
             assert (parse_outcome(read_edge_list, edge_path)
                     == parse_outcome(line_loop_graph, edge_path))
+
+    @pytest.mark.parametrize("chunks", [5, 6])
+    @pytest.mark.parametrize("chunk", [64, census._EDGE_CHUNK])
+    def test_workers_agree(self, monkeypatch, chunk, chunks):
+        # fixed-width 14-byte lines: a chunk is chunk // 14 + 1 whole lines
+        monkeypatch.setattr(census, "_EDGE_CHUNK", chunk)
+        per = chunk // 14 + 1
+        m = per * (chunks - 1) + 3
+        i = np.random.default_rng(25).permutation(m)
+        edges = np.column_stack([i % 1000, 1000 + i // 1000])
+        lines = [b"%06d %06d\n" % (u, v) for u, v in edges.tolist()]
+        data = b"".join(lines)
+        threads = {}
+        parse = census._parse_edge_chunk
+
+        def recorded(chunk_bytes):
+            threads[chunk_bytes[:14]] = threading.current_thread() is threading.main_thread()
+            return parse(chunk_bytes)
+
+        monkeypatch.setattr(census, "_parse_edge_chunk", recorded)
+        for workers in (1, 2):
+            threads.clear()
+            monkeypatch.setattr(census, "_worker_count", lambda: workers)
+            n, ends = census._parse_edge_bytes(data)
+            assert n is None and ends.dtype == np.int64 and np.array_equal(ends, edges)
+            # chunk k on the calling thread, unless k is odd and a helper runs
+            firsts = [lines[k * per] for k in range(chunks)]
+            assert [threads[f] for f in firsts] == [workers == 1 or k % 2 == 0
+                                                    for k in range(chunks)]
 
     @pytest.mark.parametrize("chunk", [1, 10, 64, 1 << 23])
     def test_chunks(self, monkeypatch, edge_path, chunk):
         monkeypatch.setattr(census, "_EDGE_CHUNK", chunk)
         g = gnp(np.random.default_rng(5), 60, 0.2)
         write_edge_list(g, edge_path)
-        assert census._parse_edge_bytes(edge_path.read_bytes()) is not None
+        good = edge_path.read_bytes()
+        assert census._parse_edge_bytes(good) is not None
         assert read_edge_list(edge_path) == g
+        # a bad byte in the first chunk the calling thread parses, and in the
+        # first a helper parses, sends the file to the line loop, which names
+        # that chunk's first line; 'x' for a digit moves no chunk boundary
+        lines = good.split(b"\n")
+        firsts = {}
+        parse = census._parse_edge_chunk
+
+        def recorded(chunk_bytes):
+            on_caller = threading.current_thread() is threading.main_thread()
+            firsts.setdefault(on_caller, chunk_bytes.split(b"\n")[0])
+            return parse(chunk_bytes)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(census, "_worker_count", lambda: 2)
+            mp.setattr(census, "_parse_edge_chunk", recorded)
+            census._parse_edge_bytes(good)
+            assert set(firsts) == ({True} if chunk == 1 << 23 else {True, False})
+            for first in firsts.values():
+                k = lines.index(first)
+                edge_path.write_bytes(b"\n".join(lines[:k] + [first[:-1] + b"x"] + lines[k + 1:]))
+                assert census._parse_edge_bytes(edge_path.read_bytes()) is None
+                with pytest.raises(InputFormatError, match=f"^line {k + 1}: endpoints"):
+                    read_edge_list(edge_path)
+        edge_path.write_bytes(good)
         # a bad byte in the last chunk sends the whole file to the line loop
         with open(edge_path, "ab") as f:
             f.write(b"1 x\n")
@@ -1329,3 +1398,8 @@ class TestParsePaths:
             tracemalloc.stop()
         assert n is None and np.array_equal(edges[:, 0], rows)
         assert peak < 2 * edges.nbytes + (2 << 20), peak
+
+    def test_memory_per_chunk_two_threads(self, monkeypatch):
+        # tracemalloc traces the pool's thread too
+        monkeypatch.setattr(census, "_worker_count", lambda: 2)
+        self.test_memory_per_chunk(monkeypatch)

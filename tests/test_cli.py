@@ -60,8 +60,10 @@ class TestCensus:
         assert regions == ["s03", "s12", "s13", "s23"]
 
     def test_no_thread_started(self, c5_path):
-        # only the seeded blow-up census's tile kernel makes a thread pool; a
-        # census and a membership query import no concurrent.futures
+        # only the seeded blow-up census's tile kernel and the parse of an
+        # edge file of more than one chunk make a thread pool; a census of
+        # c5's one-chunk file and a membership query import no
+        # concurrent.futures
         src = os.path.dirname(os.path.dirname(triprofile.__file__))
         code = ("import sys, threading\n"
                 "from triprofile.cli import main\n"

@@ -377,6 +377,12 @@ class TestRealize:
         with pytest.raises(DomainError, match=text):
             FamilySpec("g2", {"a": 0.3, "p": 0.6}, n=n, seed=seed)
 
+    def test_blowup_graph_non_integer_n_named(self):
+        w = StepGraphon([0.5, 0.5], [[0.9, 0.1], [0.1, 0.7]])
+        with pytest.raises(DomainError, match=r"^n must be an integer \(got 100\.5\)$"):
+            blowup_graph(w, 100.5)
+        assert blowup_graph(w, np.int64(100), seed=np.int32(3)) == blowup_graph(w, 100, seed=3)
+
     def test_numpy_integer_n_and_seed_accepted(self):
         params = {"a": 0.3, "p": 0.6}
         assert (realize(FamilySpec("g2", params, n=np.int64(100), seed=np.int32(1)))

@@ -45,6 +45,11 @@ class TestStationaryY:
     def test_zero_mass(self):
         assert stationary_y(0.0, 2.2) == 1.0
 
+    @pytest.mark.parametrize("xj", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_rejected(self, xj):
+        with pytest.raises(DomainError, match=r"^x_j must be finite \(got (nan|inf|-inf)\)$"):
+            stationary_y(xj, 2.2)
+
     def test_partial_derivative_vanishes(self):
         a = 2.2
         xj = 0.35
