@@ -402,6 +402,29 @@ class TestMembership:
         with pytest.raises(DomainError):
             membership("s99", 0.0, 0.0)
 
+    @pytest.mark.parametrize("region,x,y,binding", [
+        ("s12", 0.0, 0.0, "d1>=0"), ("s12", 0.75, 0.0, "d2>=0"),
+        ("s12", 0.0, 0.75, "d1>=0"),
+        ("s13", 0.0, 0.0, "d1>=0"), ("s13", 0.0, 1.0, "d1>=0"),
+        ("s13", 0.375, 0.0, "d3>=0"),
+        ("s13", 0.75, 0.25, "d1<=s13_upper(d3):unit-sum"),
+        ("s13", 9 / 16, 1 / 16, "d1<=s13_upper(d3):linear"),
+        ("s23", 0.0, 0.0, "d2>=0"), ("s23", 0.75, 0.0, "d3>=0"),
+        ("s23", 0.0, 1.0, "d2>=0"),
+        ("s03", 0.0, 0.25, "d0>=0"), ("s03", 0.25, 0.0, "d3>=0"),
+        ("s03", 1.0, 0.0, "d3>=0"), ("s03", 0.0, 1.0, "d0>=0"),
+    ])
+    def test_corner_tie_breaks(self, region, x, y, binding):
+        # every side through a corner has slack 0; the earliest one binds
+        assert membership(region, x, y) == boundary.MembershipVerdict(True, 0.0, binding)
+
+    def test_clamp_and_crossover_tie_breaks(self):
+        assert membership("s13", -0.1, 1.5) == boundary.MembershipVerdict(
+            False, -0.5, "d3<=1")
+        c = boundary._s03_crossover()
+        assert membership("s03", c, s03_upper_bound(c)) == boundary.MembershipVerdict(
+            True, 0.0, "d3<=s03_upper(d0)")
+
 
 class TestSampleBoundary:
     def test_s13_junctions_and_closure(self):
