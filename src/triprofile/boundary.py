@@ -9,11 +9,13 @@ membership with a signed slack.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError
 
@@ -36,6 +38,7 @@ __all__ = [
     "s13_upper_slope",
     "isolated_mass_for_cotriangle",
     "s03_upper_bound",
+    "piece_tables",
     "membership",
     "sample_boundary",
 ]
@@ -43,6 +46,7 @@ __all__ = [
 # inverse curves promise 1e-12 argument accuracy; running the solves a
 # few halvings past that keeps composed round trips well inside it
 SOLVE_TOL = 2e-14
+_SLACK = operator.itemgetter(1)     # the slack of a side's (binding, slack)
 
 
 class Region(Enum):
@@ -327,24 +331,30 @@ def three_cliques_sigma_for_triangle(x: float) -> float:
                   1.0 / 3.0, 0.5, x, start=1.0 / 3.0 + math.sqrt((x - 1.0 / 9.0) / 6.0))
 
 
-_S13_PIECES = (
-    ("linear", 0.0, 1.0 / 16.0),
-    ("concave", 1.0 / 16.0, 1.0 / 9.0),
-    ("convex", 1.0 / 9.0, 0.25),
-    ("unit-sum", 0.25, 1.0),
+# The S13 upper curve by triangle density: each piece's name, its end (it
+# starts at the one before), its value, and its attaining family where that
+# is not g0_graphon, whose parameter x is its triangle density.
+_S13_CURVE = (
+    ("linear", 1.0 / 16.0, lambda x: 3.0 * x + 0.375, None),
+    ("concave", 1.0 / 9.0,
+     lambda x: linked_cliques_profile(linked_cliques_sigma_for_triangle(x))[0], None),
+    ("convex", 0.25,
+     lambda x: three_cliques_profile(three_cliques_sigma_for_triangle(x))[0], None),
+    ("unit-sum", 1.0, lambda x: 1.0 - x, ("g2", {"p": 0.0}, "a", 0.5, 0.0)),
 )
+_S13_JOINS = tuple(end for _, end, _, _ in _S13_CURVE[:-1])
+_S13_BINDINGS = tuple(f"d1<=s13_upper(d3):{name}" for name, *_ in _S13_CURVE)
+
+
+def _s13_piece(x: float) -> int:
+    """Index in _S13_CURVE of the piece active at x: the linear piece holds
+    its end 1/16, and each later join starts the piece after it."""
+    return 0 if x <= _S13_JOINS[0] else bisect.bisect_right(_S13_JOINS, x)
 
 
 def s13_upper_piece(x: float) -> str:
     """Name of the S13 upper-curve piece active at triangle density x."""
-    x = _check_range("triangle density", x, 0.0, 1.0)
-    if x <= 1.0 / 16.0:
-        return "linear"
-    if x < 1.0 / 9.0:
-        return "concave"
-    if x < 0.25:
-        return "convex"
-    return "unit-sum"
+    return _S13_CURVE[_s13_piece(_check_range("triangle density", x, 0.0, 1.0))][0]
 
 
 def s13_upper_bound(x: float) -> float:
@@ -354,14 +364,8 @@ def s13_upper_bound(x: float) -> float:
     (1/16, 1/9); the three-cliques curve on [1/9, 1/4); and 1 - x beyond.
     Continuous, with junction values 9/16, 2/3 and 3/4.
     """
-    piece = s13_upper_piece(x)
-    if piece == "linear":
-        return 3.0 * x + 0.375
-    if piece == "concave":
-        return linked_cliques_profile(linked_cliques_sigma_for_triangle(x))[0]
-    if piece == "convex":
-        return three_cliques_profile(three_cliques_sigma_for_triangle(x))[0]
-    return 1.0 - x
+    x = _check_range("triangle density", x, 0.0, 1.0)
+    return _S13_CURVE[_s13_piece(x)][2](x)
 
 
 def s13_upper_slope(x: float) -> float:
@@ -372,11 +376,11 @@ def s13_upper_slope(x: float) -> float:
     sigma below and is strictly less than 1.  Undefined at and outside the
     piece boundaries.
     """
-    x = float(x)
-    if 1.0 / 16.0 < x < 1.0 / 9.0:
+    piece = _s13_piece(x := float(x))
+    if piece == 1:
         s = linked_cliques_sigma_for_triangle(x)
         return 1.0 + math.sqrt(5.0 - 12.0 * s)
-    if 1.0 / 9.0 < x < 0.25:
+    if piece == 2 and x > _S13_JOINS[1]:
         s = three_cliques_sigma_for_triangle(x)
         return (6.0 - 36.0 * s + 54.0 * s ** 2) / (-6.0 + 24.0 * s - 18.0 * s ** 2)
     raise DomainError(
@@ -443,57 +447,6 @@ def _clamp01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _constraints(region: Region, x: float, y: float) -> list:
-    if region is Region.S12:
-        return [
-            ("d1>=0", x),
-            ("d2>=0", y),
-            ("d1+d2<=3/4", 0.75 - x - y),
-        ]
-    if region is Region.S13:
-        bound_at = _clamp01(y)
-        piece = s13_upper_piece(bound_at)
-        return [
-            ("d1>=0", x),
-            ("d3>=0", y),
-            ("d3<=1", 1.0 - y),
-            (f"d1<=s13_upper(d3):{piece}", s13_upper_bound(bound_at) - x),
-        ]
-    if region is Region.S23:
-        bound = 1.5 * (min_triangle_density_inverse(_clamp01(y)) - y)
-        return [
-            ("d2>=0", x),
-            ("d3>=0", y),
-            ("d2<=1.5*(inv(d3)-d3)", bound - x),
-        ]
-    return [
-        ("d0>=0", x),
-        ("d3>=0", y),
-        ("goodman:d0+d3>=1/4", x + y - 0.25),
-        ("d3<=s03_upper(d0)", s03_upper_bound(_clamp01(x)) - y),
-    ]
-
-
-def membership(region, x: float, y: float, tol: float = 1e-9) -> MembershipVerdict:
-    """Decide whether (x, y) lies in a region, with signed minimum slack.
-
-    Coordinates follow the region's index order (S13 takes (d1, d3), etc.).
-    Alias regions delegate to the canonical one, swapping coordinates when
-    the pair is reversed.  ``inside`` holds iff slack >= -tol; callers
-    censusing finite n-vertex graphs should pass tol = 10/n.
-    """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError("membership coordinates must be finite")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise DomainError("tolerance must be a nonnegative real")
-    canonical, swap = parse_region(region)
-    if swap:
-        x, y = y, x
-    slacks = _constraints(canonical, float(x), float(y))
-    binding, slack = min(slacks, key=lambda item: item[1])
-    return MembershipVerdict(inside=slack >= -tol, slack=slack, binding=binding)
-
-
 @functools.cache
 def _s03_crossover() -> float:
     """Co-triangle density where the two S03 upper branches cross."""
@@ -521,58 +474,131 @@ def _grid(lo: float, hi: float, count: int) -> list:
     return [lo + i * step for i in range(count - 1)] + [hi]
 
 
-def _boundary_pieces(canonical: Region) -> list:
-    """The smooth pieces of a region's boundary polyline, in order, each a
-    function that returns the piece's rows for a count."""
-    def seg(branch, x0, y0, x1, y1):
-        return lambda count: [(t, x0 + t * (x1 - x0), y0 + t * (y1 - y0), branch)
-                              for t in _grid(0.0, 1.0, count)]
+class Piece(NamedTuple):
+    """One smooth piece of a region's boundary, swept by t from lo to hi."""
 
-    def s13(branch, lo, hi):
-        return lambda count: [(d3, s13_upper_bound(d3), d3, branch)
-                              for d3 in _grid(lo, hi, count)]
+    branch: str         # its name in sample_boundary's rows
+    side: int           # index in its table's sides of the one it makes tight
+    point: Callable[[float], tuple]     # t -> (x, y)
+    family: tuple       # attained by: (FAMILIES name, fixed params, swept, first, last)
+    lo: float = 0.0
+    hi: float = 1.0
 
-    if canonical is Region.S12:
-        return [seg("d2=0", 0.0, 0.0, 0.75, 0.0),
-                seg("d1+d2=3/4", 0.75, 0.0, 0.0, 0.75),
-                seg("d1=0", 0.0, 0.75, 0.0, 0.0)]
-    if canonical is Region.S13:
-        return [*(s13(*piece) for piece in _S13_PIECES),
-                seg("d1=0", 0.0, 1.0, 0.0, 0.0),
-                seg("d3=0", 0.0, 0.0, s13_upper_bound(0.0), 0.0)]
-    if canonical is Region.S23:
-        return [seg("d3=0", 0.0, 0.0, 0.75, 0.0),
-                lambda count: [(d3, 1.5 * (min_triangle_density_inverse(d3) - d3), d3, "curve")
-                               for d3 in _grid(0.0, 1.0, count)],
-                seg("d2=0", 0.0, 1.0, 0.0, 0.0)]
+
+class PieceTable(NamedTuple):
+    sides: tuple        # functions (x, y) -> (binding name, slack)
+    pieces: tuple       # Piece rows in boundary order
+
+
+def _segment(x0: float, y0: float, x1: float, y1: float) -> Callable[[float], tuple]:
+    """Point map of the straight piece from (x0, y0) at t = 0 to (x1, y1) at 1."""
+    return lambda t: (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+
+
+def _s13_upper_side(x: float, y: float) -> tuple:
+    """d1 <= s13_upper(d3), named for the curve piece at d3 clamped to [0, 1]."""
+    piece = _s13_piece(t := _clamp01(y))
+    return _S13_BINDINGS[piece], _S13_CURVE[piece][2](t) - x
+
+
+@functools.cache
+def piece_tables() -> dict:
+    """Each canonical Region's PieceTable: its defining inequalities, in the
+    order that breaks membership's ties at corners, and its smooth pieces.
+    Built on first use, since the S03 pieces end at the numerically located
+    branch crossover, where both clique-isolated families have mass
+    c = crossover^(1/3)."""
     cross = _s03_crossover()
-    return [lambda count: [(d0, d0, 0.25 - d0, "goodman") for d0 in _grid(0.0, 0.25, count)],
-            seg("d3=0", 0.25, 0.0, 1.0, 0.0),
-            lambda count: [(d0, d0, _clique_branch(d0), "upper-clique")
-                           for d0 in _grid(1.0, cross, count)],
-            lambda count: [(d0, d0, _coclique_branch(d0), "upper-coclique")
-                           for d0 in _grid(cross, 0.0, count)],
-            seg("d0=0", 0.0, 1.0, 0.0, 0.25)]
+    c = cross ** (1.0 / 3.0)
+    return {
+        Region.S12: PieceTable(
+            (lambda x, y: ("d1>=0", x), lambda x, y: ("d2>=0", y),
+             lambda x, y: ("d1+d2<=3/4", 0.75 - x - y)),
+            (Piece("d2=0", 1, _segment(0.0, 0.0, 0.75, 0.0),
+                   ("s12", {"p": 1.0}, "a", 0.0, 0.5)),
+             Piece("d1+d2=3/4", 2, _segment(0.75, 0.0, 0.0, 0.75),
+                   ("s12", {"a": 0.5}, "p", 1.0, 0.0)),
+             Piece("d1=0", 0, _segment(0.0, 0.75, 0.0, 0.0),
+                   ("s12", {"p": 0.0}, "a", 0.5, 0.0)))),
+        Region.S13: PieceTable(
+            (lambda x, y: ("d1>=0", x), lambda x, y: ("d3>=0", y),
+             lambda x, y: ("d3<=1", 1.0 - y), _s13_upper_side),
+            (*(Piece(name, 3, lambda d3: (s13_upper_bound(d3), d3),
+                     family or ("g0", {}, "x", lo, hi), lo, hi)
+               for (name, hi, _, family), lo in zip(_S13_CURVE, (0.0, *_S13_JOINS))),
+             Piece("d1=0", 0, _segment(0.0, 1.0, 0.0, 0.0),
+                   ("clique-isolated", {"complemented": 1.0}, "a", 0.0, 1.0)),
+             Piece("d3=0", 1, _segment(0.0, 0.0, s13_upper_bound(0.0), 0.0),
+                   ("g0", {}, "x", -0.25, 0.0)))),
+        Region.S23: PieceTable(
+            (lambda x, y: ("d2>=0", x), lambda x, y: ("d3>=0", y),
+             lambda x, y: ("d2<=1.5*(inv(d3)-d3)",
+                           1.5 * (min_triangle_density_inverse(_clamp01(y)) - y) - x)),
+            (Piece("d3=0", 1, _segment(0.0, 0.0, 0.75, 0.0),
+                   ("multipartite", {"a": 0.5}, "b", 0.0, 1.0)),
+             # below a = 1/128 the family needs more than 128 parts
+             Piece("curve", 2, lambda d3: (1.5 * (min_triangle_density_inverse(d3) - d3), d3),
+                   ("multipartite", {"b": 1.0}, "a", 0.5, 1.0 / 128.0)),
+             Piece("d2=0", 0, _segment(0.0, 1.0, 0.0, 0.0),
+                   ("multipartite", {"a": 0.0}, "b", 1.0, 0.0)))),
+        Region.S03: PieceTable(
+            (lambda x, y: ("d0>=0", x), lambda x, y: ("d3>=0", y),
+             lambda x, y: ("goodman:d0+d3>=1/4", x + y - 0.25),
+             lambda x, y: ("d3<=s03_upper(d0)", s03_upper_bound(_clamp01(x)) - y)),
+            (Piece("goodman", 2, lambda d0: (d0, 0.25 - d0),
+                   ("s12", {"a": 0.5}, "p", 1.0, 0.0), 0.0, 0.25),
+             Piece("d3=0", 1, _segment(0.25, 0.0, 1.0, 0.0),
+                   ("multipartite", {"a": 0.5}, "b", 1.0, 0.0)),
+             Piece("upper-clique", 3, lambda d0: (d0, _clique_branch(d0)),
+                   ("clique-isolated", {"complemented": 0.0}, "a", 0.0, c), 1.0, cross),
+             Piece("upper-coclique", 3, lambda d0: (d0, _coclique_branch(d0)),
+                   ("clique-isolated", {"complemented": 1.0}, "a", c, 0.0), cross, 0.0),
+             Piece("d0=0", 0, _segment(0.0, 1.0, 0.0, 0.25),
+                   ("g2", {"p": 0.0}, "a", 0.0, 0.5)))),
+    }
+
+
+def membership(region, x: float, y: float, tol: float = 1e-9) -> MembershipVerdict:
+    """Decide whether (x, y) lies in a region, with signed minimum slack.
+
+    Coordinates follow the region's index order (S13 takes (d1, d3), etc.).
+    Alias regions delegate to the canonical one, swapping coordinates when
+    the pair is reversed.  The tightest side in piece_tables, the earliest on
+    a tie, gives slack and binding.  ``inside`` holds iff slack >= -tol;
+    callers censusing finite n-vertex graphs should pass tol = 10/n.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError("membership coordinates must be finite")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError("tolerance must be a nonnegative real")
+    canonical, swap = parse_region(region)
+    if swap:
+        x, y = y, x
+    x, y = float(x), float(y)
+    binding, slack = min([side(x, y) for side in piece_tables()[canonical].sides],
+                         key=_SLACK)
+    return MembershipVerdict(inside=slack >= -tol, slack=slack, binding=binding)
 
 
 def sample_boundary(region, count: int) -> list:
     """Sample the full boundary polyline of a region.
 
-    Returns (param, x, y, branch) tuples; every smooth piece carries at
-    least ``count`` points and consecutive pieces share their junction
-    point.  ``param`` is the natural parameter of the piece (the curve
-    coordinate on curved pieces, a 0..1 sweep on straight edges).  A count
-    whose rows would need more than _SAMPLE_MAX_BYTES raises DomainError
-    before allocating.
+    Returns (param, x, y, branch) tuples for the pieces of the region's
+    piece_table in order, each at ``count`` values of its parameter evenly
+    spaced from its lo to its hi; consecutive pieces share their junction
+    point.  ``param`` is the curve coordinate on curved pieces and a 0..1
+    sweep on straight edges.  A count whose rows would need more than
+    _SAMPLE_MAX_BYTES raises DomainError before allocating.
     """
     if count < 2:
         raise DomainError("count must be at least 2")
     canonical, _ = parse_region(region)
-    pieces = _boundary_pieces(canonical)
+    pieces = piece_tables()[canonical].pieces
     need = count * len(pieces) * _SAMPLE_BYTES_PER_ROW
     if need > _SAMPLE_MAX_BYTES:
         raise DomainError(f"{count} samples too large: the {len(pieces)} pieces of "
                           f"{canonical.value} would need {need:.3g} bytes "
                           f"({_SAMPLE_BYTES_PER_ROW} a row), over the "
                           f"{_SAMPLE_MAX_BYTES}-byte budget")
-    return [row for piece in pieces for row in piece(count)]
+    return [(t, *piece.point(t), piece.branch) for piece in pieces
+            for t in _grid(piece.lo, piece.hi, count)]

@@ -332,31 +332,25 @@ def isolated_mass_scaling(points: int):
     return err <= 1e-12, f"max error {err:.2e}", {"error": err}
 
 
-@_check("g0 family lands on the S13 boundary")
-def g0_on_s13(points: int):
-    """g0_graphon(x), x in [0, 1/4], is inside S13 and within 1e-9 of the
-    upper curve, and the grid meets its linear, concave and convex pieces."""
-    slack, inside, regimes = 0.0, True, set()
-    for x in np.linspace(0.0, 0.25, points):
-        x = float(x)
-        d = graphon_densities(constructions.g0_graphon(x))
-        v = boundary.membership("s13", d.d1, d.d3, 1e-9)
-        inside = inside and v.inside
-        slack = max(slack, abs(v.slack))
-        regimes.add(boundary.s13_upper_piece(x))
-    return (inside and slack <= 1e-9 and {"linear", "concave", "convex"} <= regimes,
-            f"max |slack| {slack:.2e}, inside={inside}, regimes {sorted(regimes)}",
-            {"slack": slack, "regimes": sorted(regimes)})
-
-
-@_check("multipartite family lands on the S23 boundary")
-def multipartite_on_s23(points: int):
-    gap = 0.0
-    for a in np.linspace(0.02, 0.5, points):
-        d = graphon_densities(constructions.s23_graphon(float(a), 1.0))
-        bound = 1.5 * (boundary.min_triangle_density_inverse(d.d3) - d.d3)
-        gap = max(gap, abs(bound - d.d2))
-    return gap <= 1e-9, f"max |gap| {gap:.2e}", {"gap": gap}
+@_check("every boundary piece attained by its family")
+def piece_attainment(points: int, regions=tuple(boundary.Region)):
+    """Each piece's family at points values of its swept parameter is inside
+    the region to 1e-12, and the piece's side has |slack| <= 1e-12 there."""
+    slack, inside, pieces = 0.0, True, []
+    for region in regions:
+        table = boundary.piece_tables()[region]
+        for piece in table.pieces:
+            family, fixed, swept, first, last = piece.family
+            for t in np.linspace(first, last, points):
+                d = graphon_densities(constructions.limit_graphon(
+                    constructions.FamilySpec(family, {**fixed, swept: float(t)})))
+                x, y = boundary.region_coords(d)[region.value]
+                inside = inside and boundary.membership(region, x, y, 1e-12).inside
+                slack = max(slack, abs(table.sides[piece.side](x, y)[1]))
+            pieces.append(f"{region.value}:{piece.branch}")
+    return (inside and slack <= 1e-12,
+            f"{len(pieces)} pieces, max |slack| {slack:.2e}, inside={inside}",
+            {"slack": slack, "pieces": pieces})
 
 
 @_check("min-triangle family attains the envelope")
@@ -504,9 +498,8 @@ _DESK_CASES = (("g0", {"x": 0.2}, (1,)), ("g2", {"a": 0.3, "p": 0.6}, (1,)),
 
 def constructions_suite() -> list:
     return [linked_cliques_closed_form(20, 1e-9), three_cliques_closed_form(20),
-            g1_g2_closed_forms(10), g0_on_s13(40), s12_closed_form(10),
-            isolated_mass_scaling(5), multipartite_on_s23(20),
-            min_triangle_attainment(20),
+            g1_g2_closed_forms(10), s12_closed_form(10), isolated_mass_scaling(5),
+            piece_attainment(40), min_triangle_attainment(20),
             finite_convergence(_DESK_CASES, (400,), {400: 0.06})]
 
 

@@ -63,11 +63,12 @@ def test_criterion_3_edge_triangle_envelope_suite():
 
 
 def test_criterion_4_s13_boundary_attainment():
-    g0, junctions = verify.g0_on_s13(100), verify.s13_junctions()
-    criterion("4 S13 boundary attainment", [g0, junctions],
-              f"max |slack| {g0.values['slack']:.2e}, "
+    pieces = verify.piece_attainment(100, (tp.Region.S13,))
+    junctions = verify.s13_junctions()
+    criterion("4 S13 boundary attainment", [pieces, junctions],
+              f"max |slack| {pieces.values['slack']:.2e}, "
               f"junction jump {junctions.values['jump']:.2e}, "
-              f"regimes {g0.values['regimes']}, "
+              f"pieces {pieces.values['pieces']}, "
               f"junction values {junctions.values['value_error']:.2e}")
 
 

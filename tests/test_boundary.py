@@ -1,4 +1,7 @@
 import math
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -6,14 +9,15 @@ import numpy as np
 import pytest
 
 from triprofile import boundary
-from triprofile import (DomainError, StepGraphon, edge_partition,
-                        graphon_densities, isolated_mass_for_cotriangle,
+from triprofile import (DomainError, FamilySpec, Region, StepGraphon,
+                        edge_partition, graphon_densities,
+                        isolated_mass_for_cotriangle, limit_graphon,
                         linked_cliques_cross_density, linked_cliques_profile,
                         linked_cliques_sigma_for_triangle, membership,
                         min_triangle_density, min_triangle_density_inverse,
-                        parse_region, region_coords, s03_upper_bound,
-                        s13_upper_bound, s13_upper_piece, s13_upper_slope,
-                        sample_boundary, three_cliques_profile,
+                        parse_region, piece_tables, region_coords,
+                        s03_upper_bound, s13_upper_bound, s13_upper_piece,
+                        s13_upper_slope, sample_boundary, three_cliques_profile,
                         three_cliques_sigma_for_triangle)
 from triprofile.verify import random_step_graphon
 
@@ -488,6 +492,61 @@ class TestSampleBoundary:
         with pytest.raises(DomainError, match=f"^40 samples too large: the {pieces} "
                                               f"pieces of {region} would need "):
             sample_boundary(region, 40)
+
+
+def outward(region, binding):
+    """The unit move off the region along the coordinate a side bounds: the
+    first density its binding name compares, up for <= and down for >=."""
+    coord, op = re.match(r"(?:goodman:)?d(\d)[^<>]*([<>])=", binding).groups()
+    step = 1.0 if op == "<" else -1.0
+    return (step, 0.0) if region.value.index(coord) == 1 else (0.0, step)
+
+
+PIECES = [pytest.param(region, piece, id=f"{region.value}-{piece.branch}")
+          for region, table in piece_tables().items() for piece in table.pieces]
+
+
+class TestPieceTables:
+    def test_piece_counts(self):
+        assert {r.value: len(t.pieces) for r, t in piece_tables().items()} == {
+            "s12": 3, "s13": 6, "s23": 3, "s03": 5}
+
+    @pytest.mark.parametrize("region,piece", PIECES)
+    def test_family_lies_on_its_piece(self, region, piece):
+        family, fixed, swept, first, last = piece.family
+        side = piece_tables()[region].sides[piece.side]
+        points = []
+        for t in np.linspace(first, last, 21):
+            w = limit_graphon(FamilySpec(family, {**fixed, swept: float(t)}))
+            x, y = region_coords(graphon_densities(w))[region.value]
+            assert membership(region, x, y, 1e-12).inside, (t, x, y)
+            assert abs(side(x, y)[1]) <= 1e-12, (t, x, y)
+            points.append((x, y))
+        # the sweep runs the piece's way, from its first point to its last;
+        # the multipartite family stops short of the S23 curve's end (d3 = 1)
+        ends = [(0, piece.lo)] if piece.branch == "curve" else [(0, piece.lo), (-1, piece.hi)]
+        for k, t in ends:
+            assert np.allclose(points[k], piece.point(t), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_point_pushed_outside_binds_its_piece(self, region):
+        table = piece_tables()[region]
+        rows = sample_boundary(region, 50)
+        for k, piece in enumerate(table.pieces):
+            for _, x, y, branch in rows[50 * k + 1:50 * (k + 1) - 1]:
+                assert branch == piece.branch
+                binding = table.sides[piece.side](x, y)[0]
+                dx, dy = outward(region, binding)
+                v = membership(region, x + 1e-9 * dx, y + 1e-9 * dy)
+                assert v.binding == binding and abs(v.slack + 1e-9) <= 1e-12, (x, y, v)
+
+    def test_nothing_solved_at_import(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "from triprofile import boundary as b; "
+             "print(b._s03_crossover.cache_info().currsize, "
+             "b.piece_tables.cache_info().currsize)"],
+            capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0", "0"]
 
 
 class TestSoundness:

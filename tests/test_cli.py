@@ -571,7 +571,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "constructions")
         assert code == 0
         assert "FAIL" not in out
-        assert "PASS multipartite family lands on the S23 boundary" in out
+        assert "PASS every boundary piece attained by its family" in out
         assert "PASS finite realizations near their limits at n=400" in out
 
     @staticmethod
