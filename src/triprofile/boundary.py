@@ -583,8 +583,8 @@ def membership(region, x: float, y: float, tol: float = 1e-9) -> MembershipVerdi
 def sample_boundary(region, count: int) -> list:
     """Sample the full boundary polyline of a region.
 
-    Returns (param, x, y, branch) tuples for the pieces of the region's
-    piece_table in order, each at ``count`` values of its parameter evenly
+    Returns (param, x, y, branch) tuples for the region's pieces in
+    piece_tables, in order, each at ``count`` values of its parameter evenly
     spaced from its lo to its hi; consecutive pieces share their junction
     point.  ``param`` is the curve coordinate on curved pieces and a 0..1
     sweep on straight edges.  A count whose rows would need more than
@@ -600,5 +600,5 @@ def sample_boundary(region, count: int) -> list:
                           f"{canonical.value} would need {need:.3g} bytes "
                           f"({_SAMPLE_BYTES_PER_ROW} a row), over the "
                           f"{_SAMPLE_MAX_BYTES}-byte budget")
-    return [(t, *piece.point(t), piece.branch) for piece in pieces
-            for t in _grid(piece.lo, piece.hi, count)]
+    return [(t, x, y, branch) for branch, _, point, _, lo, hi in pieces
+            for t in _grid(lo, hi, count) for x, y in [point(t)]]

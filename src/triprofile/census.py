@@ -533,20 +533,25 @@ def _masked_product(left: np.ndarray, right: np.ndarray, mask: np.ndarray) -> in
     return int(np.einsum("ij,ij->i", mask, left @ right).sum(dtype=np.float64))
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_count() -> int:
-    """Threads the tile kernel runs its bands on, and the edge parser its
-    chunks on up to two of: the CPUs this process may run on, or 1 while
+    """Threads the tile kernel runs its bands on: _cpu_count(), or 1 while
     threads that Python did not start run beside it.
 
     Those are a multithreaded BLAS's: unless told to use one thread,
     OpenBLAS starts a thread for every CPU but one, and they spin between
     products.  With two bands' products at once beside them, the kernel ran
-    1.1-1.3x slower than on one thread (see README).
+    1.1-1.3x slower than on one thread (see README).  The edge parser calls
+    no BLAS and takes _cpu_count() alone.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
+    cpus = _cpu_count()
     return 1 if cpus > 1 and _foreign_threads() else cpus
 
 
@@ -869,7 +874,7 @@ def read_edge_list(path) -> Graph:
     first offending line.
 
     A well-formed file is parsed in numpy, its chunks on two threads when
-    _worker_count() is above 1 (see _parse_edge_bytes).  Any file
+    the process may use more than one CPU (see _parse_edge_bytes).  Any file
     the fast path does not accept, or whose edges from_edges rejects, is
     parsed again by the line loop, which checks each line as it is read,
     except for repeated edges: one sort of all the edges finds those at the
@@ -904,7 +909,7 @@ def _parse_edge_bytes(data: bytes):
     _EDGE_CHUNK bytes, each cut after a line end.  None means the line loop
     must decide.
 
-    With _worker_count() above 1 and more than one chunk, the chunks are
+    With _cpu_count() above 1 and more than one chunk, the chunks are
     parsed in pairs, chunk k on the calling thread and chunk k + 1 on a
     thread of _band_pool; np.fromstring and the masks release the GIL.  A
     pair is done before the next starts, and the chunks are joined in file
@@ -940,7 +945,7 @@ def _parse_edge_bytes(data: bytes):
         eol = _EOL.search(data, cuts[-1] + _EDGE_CHUNK)
         cuts.append(eol.end() if eol else len(data))
     spans = list(zip(cuts, cuts[1:]))
-    workers = _worker_count() if len(spans) > 1 else 1
+    workers = _cpu_count() if len(spans) > 1 else 1
     step = min(workers, 2)
     parts = []
     for k in range(0, len(spans), step):

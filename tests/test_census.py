@@ -341,15 +341,20 @@ class TestTriangleKernels:
     def test_choice_logged(self, caplog):
         # a cycle's ranks are its ids: 16 words a row, and the forward edges
         # (i, i+1) and (0, 999) AND from word (i+1) >> 6 and 999 >> 6 on,
-        # 16 * 1000 - 7320 - 15 word-ANDs
+        # 16 * 1000 - 7320 - 15 word-ANDs.  A cycle's census has the closed
+        # form (C(n,3) - n(n-4) - n, n(n-4), n, 0) for n >= 5
+        n = 1000
         with caplog.at_level(logging.DEBUG, logger="triprofile.census"):
-            census_fast(cycle(1000))
+            c = census_fast(cycle(n))
+        assert c.counts == (math.comb(n, 3) - n * (n - 4) - n, n * (n - 4), n, 0)
         (rec,) = [r for r in caplog.records if r.name == "triprofile.census"]
         assert rec.levelno == logging.DEBUG
         assert rec.getMessage() == ("triangle count: n=1000 m=1000 wedges=1 "
                                     "word_ands=8665 kernel=wedges")
 
-    @pytest.mark.parametrize("g,kernel", [(cycle(1000), "wedges"),
+    # cycle(200) still takes the wedge kernel (581 word-ANDs), and its brute
+    # census is quick
+    @pytest.mark.parametrize("g,kernel", [(cycle(200), "wedges"),
                                           (Graph.complete(100), "bitset")])
     def test_graph_read_once(self, monkeypatch, caplog, g, kernel):
         # one rank and one edge list a census, on either side of the rule
@@ -600,12 +605,13 @@ class TestTileKernel:
 
     def test_worker_count(self, monkeypatch):
         # every CPU the process may use, unless threads Python did not
-        # start, a multithreaded BLAS's, already run beside it
+        # start, a multithreaded BLAS's, already run beside it; the parse,
+        # which calls no BLAS, takes every CPU either way
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(census, "_foreign_threads", lambda: 0)
-        assert census._worker_count() == 3
+        assert census._worker_count() == census._cpu_count() == 3
         monkeypatch.setattr(census, "_foreign_threads", lambda: 2)
-        assert census._worker_count() == 1
+        assert (census._worker_count(), census._cpu_count()) == (1, 3)
 
     def test_python_threads_are_not_foreign(self):
         before = census._foreign_threads()
@@ -1312,7 +1318,7 @@ class TestParsePaths:
         edge_path.write_bytes(data)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(census, "_EDGE_CHUNK", chunk)
-            mp.setattr(census, "_worker_count", lambda: workers)
+            mp.setattr(census, "_cpu_count", lambda: workers)
             assert (parse_outcome(read_edge_list, edge_path)
                     == parse_outcome(line_loop_graph, edge_path))
 
@@ -1337,7 +1343,7 @@ class TestParsePaths:
         monkeypatch.setattr(census, "_parse_edge_chunk", recorded)
         for workers in (1, 2):
             threads.clear()
-            monkeypatch.setattr(census, "_worker_count", lambda: workers)
+            monkeypatch.setattr(census, "_cpu_count", lambda: workers)
             n, ends = census._parse_edge_bytes(data)
             assert n is None and ends.dtype == np.int64 and np.array_equal(ends, edges)
             # chunk k on the calling thread, unless k is odd and a helper runs
@@ -1366,7 +1372,7 @@ class TestParsePaths:
             return parse(chunk_bytes)
 
         with monkeypatch.context() as mp:
-            mp.setattr(census, "_worker_count", lambda: 2)
+            mp.setattr(census, "_cpu_count", lambda: 2)
             mp.setattr(census, "_parse_edge_chunk", recorded)
             census._parse_edge_bytes(good)
             assert set(firsts) == ({True} if chunk == 1 << 23 else {True, False})
@@ -1383,9 +1389,10 @@ class TestParsePaths:
         with pytest.raises(InputFormatError, match=f"^line {g.m + 2}: endpoints"):
             read_edge_list(edge_path)
 
-    def test_memory_per_chunk(self, monkeypatch):
+    def test_memory_per_chunk(self, monkeypatch, workers=1):
         # the masks and token positions are O(chunk): the peak is the
         # endpoint arrays (the chunks' and their concatenation) plus little
+        monkeypatch.setattr(census, "_cpu_count", lambda: workers)
         monkeypatch.setattr(census, "_EDGE_CHUNK", 1 << 16)
         m = 100_000
         rows = np.arange(m)
@@ -1401,5 +1408,4 @@ class TestParsePaths:
 
     def test_memory_per_chunk_two_threads(self, monkeypatch):
         # tracemalloc traces the pool's thread too
-        monkeypatch.setattr(census, "_worker_count", lambda: 2)
-        self.test_memory_per_chunk(monkeypatch)
+        self.test_memory_per_chunk(monkeypatch, workers=2)
